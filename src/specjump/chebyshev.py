@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .coefficients import AccuracyError, ChebyshevSeries, FourierSeries
-from .tails import JumpEstimate, PrecisionWarning, TailSumConfig, integrated_tail
+from .coefficients import AccuracyError, ChebyshevSeries
+from .tails import JumpEstimate, PrecisionWarning, _tail_sum, _window_sup
 
 __all__ = [
     "ChebyshevTailConfig",
@@ -63,16 +63,6 @@ def _resolve_K(series: ChebyshevSeries, cfg: ChebyshevTailConfig) -> int:
     return K
 
 
-def _c_star(series: ChebyshevSeries, n: int, K: int) -> float:
-    """Windowed sup of |c_k| k / K near the cutoff; scale of the decay model
-    |c_k| <= c* K / k used for k > K."""
-    w = max(10, K // 100)
-    lo = max(n, K - w + 1)
-    ks = np.arange(lo, K + 1, dtype=float)
-    cs = np.abs(np.asarray(series.c[lo : K + 1]))
-    return float(np.max(cs * ks)) / K if len(ks) else 0.0
-
-
 def _check_x(x: float) -> None:
     if not abs(x) < 1.0:
         raise ValueError("x must lie strictly inside (-1, 1)")
@@ -91,7 +81,7 @@ def chebyshev_tail(series: ChebyshevSeries, x: float, cfg: ChebyshevTailConfig) 
     coeffs[n:] = series.c[n : K + 1]
     value = float(_cheb.chebval(x, coeffs))
     theta = math.acos(x)
-    bound = _c_star(series, n, K) / max(abs(math.sin(theta / 2.0)), 1e-6)
+    bound = _window_sup(np.abs(coeffs[n:]), K) / max(abs(math.sin(theta / 2.0)), 1e-6)
     if bound > 0.01 * abs(value):
         warnings.warn(
             f"chebyshev_tail: truncation bound {bound:.3g} exceeds 1% of the "
@@ -136,17 +126,9 @@ def _integrated_theta_domain(series: ChebyshevSeries, x: float, n: int, K: int) 
     sin(k theta) cos(theta); quadrature cannot resolve k ~ K oscillations.
     """
     eta = math.acos(x)
-    g_series = FourierSeries(
-        K,
-        series.c[0],
-        tuple(series.c[1 : K + 1]),
-        (0.0,) * K,
-        provenance=series.provenance,
-    )
-    r1 = integrated_tail(g_series, eta, 0, n, TailSumConfig(K_cap=K, remainder_bound=0.0))
-
     ks = np.arange(n, K + 1, dtype=float)
     cs = np.asarray(series.c[n : K + 1])
+    r1 = _tail_sum(cs, None, eta, n, 1)
     kp, km = ks + 1.0, ks - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         # int_eta^pi sin(k t) cos t dt, exact for k != 1
@@ -227,8 +209,10 @@ def sawtooth_tail_bound_check(n_values: Sequence[int]) -> list[float]:
         for k0 in range(n, K + 1, _BLOCK):
             width = min(_BLOCK, K + 1 - k0)
             w = 1.0 / np.arange(k0, k0 + width, dtype=float) ** 2
-            # cos((k0+j) t) = cos(k0 t) cos(j t) - sin(k0 t) sin(j t)
-            total += np.cos(k0 * thetas) * (cos_j[:, :width] @ w)
-            total -= np.sin(k0 * thetas) * (sin_j[:, :width] @ w)
+            # cos((k0+j) t) = cos(k0 t) cos(j t) - sin(k0 t) sin(j t); einsum
+            # sums in a fixed order, where a BLAS matvec's order (and so its
+            # bits) depends on the kernel OpenBLAS picks for the CPU
+            total += np.cos(k0 * thetas) * np.einsum("ij,j->i", cos_j[:, :width], w)
+            total -= np.sin(k0 * thetas) * np.einsum("ij,j->i", sin_j[:, :width], w)
         out.append(float(n * np.max(np.abs(total))))
     return out

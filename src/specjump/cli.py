@@ -26,6 +26,7 @@ from . import chebyshev as chebmod
 from .coefficients import (
     ChebyshevSeries,
     FourierSeries,
+    _closed_form_polys,
     chebyshev_coefficients,
     fourier_coefficients,
     series_from_json,
@@ -139,13 +140,10 @@ def _resolve_basis(config: RunConfig, series) -> str:
 def _default_K(f: PiecewiseFunction, config: RunConfig, nmax: int) -> int:
     if config.K_cap is not None:
         return config.K_cap
-    from .coefficients import _as_polynomial
-
-    closed_ok = all(
-        (p := _as_polynomial(e)) is not None and len(p) <= 4 for e in f.pieces
-    )
     # closed forms are cheap; quadrature cost grows with K, so cap it harder
-    return max(200_000, 4 * nmax) if closed_ok else max(4096, 4 * nmax)
+    if _closed_form_polys(f, "auto") is not None:
+        return max(200_000, 4 * nmax)
+    return max(4096, 4 * nmax)
 
 
 def _series_for(config: RunConfig, f, series, basis: str, nmax: int):
@@ -200,14 +198,13 @@ def _estimator(config: RunConfig, series, basis: str):
         return lambda x, n: fejer_jump(series, x, n)
     if method == "cesaro":
         return lambda x, n: cesaro_jump(series, x, config.alpha, n)
-    if method == "integrated":
-        r = 0 if config.r is None else config.r
+    if method in ("integrated", "conjugate"):
+        conjugate = method == "conjugate"
+        jump = jump_from_conjugate if conjugate else jump_from_integrated
+        # by default the least order each tail admits
+        r = config.r if config.r is not None else int(conjugate)
         cfg = TailSumConfig(K_cap=config.K_cap)
-        return lambda x, n: jump_from_integrated(series, x, r, n, cfg)
-    if method == "conjugate":
-        r = 1 if config.r is None else config.r
-        cfg = TailSumConfig(K_cap=config.K_cap)
-        return lambda x, n: jump_from_conjugate(series, x, r, n, cfg)
+        return lambda x, n: jump(series, x, r, n, cfg)
     # chebyshev
     return lambda x, n: chebmod.jump_from_chebyshev(
         series, x, chebmod.ChebyshevTailConfig(n=n, K_cap=config.K_cap)
@@ -294,11 +291,10 @@ def _cmd_table(config: RunConfig) -> str:
         headers = ("n", "method", "alpha", "estimate", "true_jump", "abs_error")
     else:
         rows = [
-            (n, e.method, e.r, e.value, truth, abs(e.value - truth), e.remainder_bound)
+            (n, e.r, e.method, e.value, truth, abs(e.value - truth), e.remainder_bound)
             for n, e in zip(ns, ests)
         ]
         headers = ("n", "r", "method", "estimate", "true_jump", "abs_error", "remainder_bound")
-        rows = [(n, r, m, est, tj, err, rb) for (n, m, r, est, tj, err, rb) in rows]
     return _table_text(config, headers, rows)
 
 
@@ -424,10 +420,8 @@ def _csv_text(headers, rows, comments: Optional[list[str]] = None) -> str:
     return buf.getvalue()
 
 
-def _json_text(headers, rows, extra: Optional[dict] = None) -> str:
-    obj = dict(extra or {})
-    obj["columns"] = list(headers)
-    obj["rows"] = [list(row) for row in rows]
+def _json_text(headers, rows) -> str:
+    obj = {"columns": list(headers), "rows": [list(row) for row in rows]}
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -520,26 +514,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits 0 for --help, 2 for usage errors; usage errors are
         # validation failures here
         return 0 if exc.code == 0 else 1
-    config = RunConfig(
-        command=args.command,
-        input=args.input,
-        method=args.method,
-        basis=args.basis,
-        r=args.r,
-        alpha=args.alpha,
-        n0=args.n0,
-        nmax=args.nmax,
-        points=args.points,
-        grid=args.grid,
-        K_cap=args.K_cap,
-        out=args.out,
-        fmt=args.fmt,
-        strict=args.strict,
-        check=args.check,
-        n_list=args.n_list,
-        densities=args.densities,
-    )
-    return run(config)
+    # every argparse dest is a RunConfig field
+    return run(RunConfig(**vars(args)))
 
 
 def entry() -> None:

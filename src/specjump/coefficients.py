@@ -295,23 +295,59 @@ def _weighted_trig_sums(ks, xs, w, parts):
     return sums
 
 
-def _fourier_from_nodes(f, xs, ws, K, period_half):
-    fx = _piece_values(f, xs)
-    wf = ws * fx
-    a0_half = float(np.sum(wf)) / (2.0 * period_half)
-    a, b = _weighted_trig_sums(np.arange(1.0, K + 1), xs, wf, (np.cos, np.sin))
-    return a0_half, a / period_half, b / period_half
-
-
-def _piece_values(f: PiecewiseFunction, xs: np.ndarray) -> np.ndarray:
-    """Evaluate using piece expressions directly; xs never hits an edge."""
-    out = np.empty_like(xs)
-    edges = f.edges
-    for i, expr in enumerate(f.pieces):
-        mask = (xs > edges[i]) & (xs < edges[i + 1])
+def _piece_values(edges, pieces, nodes: np.ndarray, x_of=None) -> np.ndarray:
+    """Each piece's expression at the nodes inside its edges, evaluated at
+    x_of(node) (the node itself when x_of is None); nodes never hit an edge."""
+    out = np.empty_like(nodes)
+    for i, expr in enumerate(pieces):
+        mask = (nodes > edges[i]) & (nodes < edges[i + 1])
         if mask.any():
-            out[mask] = eval_expr_array(expr, xs[mask])
+            inside = nodes[mask]
+            out[mask] = eval_expr_array(expr, inside if x_of is None else x_of(inside))
     return out
+
+
+def _closed_form_polys(f: PiecewiseFunction, quad: str) -> Optional[list[list[float]]]:
+    """The closed-form-or-quadrature dispatch of both bases: the pieces'
+    power-basis coefficients when quad selects the closed form, None when it
+    selects quadrature.  "auto" takes the closed form whenever every piece is
+    a polynomial of degree <= 3."""
+    polys = [_as_polynomial(e) for e in f.pieces]
+    closed_ok = all(p is not None and len(p) <= 4 for p in polys)
+    if quad == "closed_form" or (quad == "auto" and closed_ok):
+        if not closed_ok:
+            raise ValueError("closed form requires polynomial pieces of degree <= 3")
+        return polys
+    if quad not in ("auto", "quadrature"):
+        raise ValueError(f"unknown quad mode {quad!r}")
+    return None
+
+
+def _doubled_quadrature(edges, K: int, integrals, basis: str) -> tuple:
+    """Panel doubling shared by both bases.
+
+    integrals(nodes, weights) returns a tuple of coefficient arrays (or
+    floats) for one composite rule on edges.  The panel counts start near 8
+    panels per period of cos(K t) and double until no entry moves by
+    _DOUBLING_TOL or more; at most _MAX_DOUBLINGS doublings, then
+    AccuracyError.
+    """
+    base = [
+        max(2, int(math.ceil(K * (hi - lo) / (2.0 * math.pi) * 2)))
+        for lo, hi in zip(edges, edges[1:])
+    ]
+    prev = None
+    for attempt in range(_MAX_DOUBLINGS + 1):
+        mult = 2**attempt
+        cur = integrals(*_panel_nodes(edges, [n * mult for n in base]))
+        if prev is not None:
+            delta = max(float(np.max(np.abs(c - p))) for c, p in zip(cur, prev))
+            if delta < _DOUBLING_TOL:
+                return cur
+        prev = cur
+    raise AccuracyError(
+        f"{basis} quadrature did not converge after {_MAX_DOUBLINGS} doublings"
+    )
 
 
 def fourier_coefficients(f: PiecewiseFunction, K: int, quad: str = "auto") -> FourierSeries:
@@ -325,44 +361,21 @@ def fourier_coefficients(f: PiecewiseFunction, K: int, quad: str = "auto") -> Fo
     lo, hi = f.domain
     if not math.isclose(hi - lo, 2.0 * math.pi):
         raise ValueError("Fourier coefficients require a domain of length 2 pi")
-    polys = [_as_polynomial(e) for e in f.pieces]
-    closed_ok = all(p is not None and len(p) <= 4 for p in polys)
-    if quad == "closed_form" or (quad == "auto" and closed_ok):
-        if not closed_ok:
-            raise ValueError("closed form requires polynomial pieces of degree <= 3")
+    polys = _closed_form_polys(f, quad)
+    if polys is not None:
         return _closed_form_fourier(polys, f.edges, K)
-    if quad not in ("auto", "quadrature"):
-        raise ValueError(f"unknown quad mode {quad!r}")
 
     edges = f.edges
     period_half = (edges[-1] - edges[0]) / 2.0
-    # resolve cos(Kx): start near 8 panels per period of the top frequency
-    base = [
-        max(2, int(math.ceil(K * (hi - lo) / (2.0 * math.pi) * 2)))
-        for lo, hi in zip(edges, edges[1:])
-    ]
-    prev = None
-    for attempt in range(_MAX_DOUBLINGS + 1):
-        mult = 2**attempt
-        xs, ws = _panel_nodes(edges, [n * mult for n in base])
-        cur = _fourier_from_nodes(f, xs, ws, K, period_half)
-        if prev is not None:
-            delta = max(
-                abs(cur[0] - prev[0]),
-                float(np.max(np.abs(cur[1] - prev[1]))),
-                float(np.max(np.abs(cur[2] - prev[2]))),
-            )
-            if delta < _DOUBLING_TOL:
-                return FourierSeries(
-                    K,
-                    cur[0],
-                    tuple(cur[1].tolist()),
-                    tuple(cur[2].tolist()),
-                    provenance="quadrature",
-                )
-        prev = cur
-    raise AccuracyError(
-        f"Fourier quadrature did not converge after {_MAX_DOUBLINGS} doublings"
+
+    def integrals(xs, ws):
+        wf = ws * _piece_values(edges, f.pieces, xs)
+        a, b = _weighted_trig_sums(np.arange(1.0, K + 1), xs, wf, (np.cos, np.sin))
+        return float(np.sum(wf)) / (2.0 * period_half), a / period_half, b / period_half
+
+    a0_half, a, b = _doubled_quadrature(edges, K, integrals, "Fourier")
+    return FourierSeries(
+        K, a0_half, tuple(a.tolist()), tuple(b.tolist()), provenance="quadrature"
     )
 
 
@@ -378,41 +391,23 @@ def chebyshev_coefficients(f: PiecewiseFunction, K: int, quad: str = "auto") -> 
     lo, hi = f.domain
     if not (math.isclose(lo, -1.0) and math.isclose(hi, 1.0)):
         raise ValueError("Chebyshev coefficients require domain [-1, 1]")
-    polys = [_as_polynomial(e) for e in f.pieces]
-    closed_ok = all(p is not None and len(p) <= 4 for p in polys)
-    if quad == "closed_form" or (quad == "auto" and closed_ok):
-        if not closed_ok:
-            raise ValueError("closed form requires polynomial pieces of degree <= 3")
+    polys = _closed_form_polys(f, quad)
+    if polys is not None:
         return _closed_form_chebyshev(polys, f.edges, K)
-    if quad not in ("auto", "quadrature"):
-        raise ValueError(f"unknown quad mode {quad!r}")
 
     # theta edges ascending; x edge -1 maps to pi
     theta_edges = [math.acos(max(-1.0, min(1.0, x))) for x in reversed(f.edges)]
     exprs = list(reversed(f.pieces))
-    base = [
-        max(2, int(math.ceil(K * (hi_t - lo_t) / (2.0 * math.pi) * 2)))
-        for lo_t, hi_t in zip(theta_edges, theta_edges[1:])
-    ]
-    prev = None
-    for attempt in range(_MAX_DOUBLINGS + 1):
-        mult = 2**attempt
-        ts, ws = _panel_nodes(theta_edges, [n * mult for n in base])
-        g = np.empty_like(ts)
-        for i, expr in enumerate(exprs):
-            mask = (ts > theta_edges[i]) & (ts < theta_edges[i + 1])
-            if mask.any():
-                g[mask] = eval_expr_array(expr, np.cos(ts[mask]))
-        wg = ws * g
+
+    def integrals(ts, ws):
+        wg = ws * _piece_values(theta_edges, exprs, ts, np.cos)
         (c,) = _weighted_trig_sums(np.arange(0.0, K + 1), ts, wg, (np.cos,))
         c *= 2.0 / math.pi
         c[0] /= 2.0
-        if prev is not None and float(np.max(np.abs(c - prev))) < _DOUBLING_TOL:
-            return ChebyshevSeries(K, tuple(c.tolist()), provenance="quadrature")
-        prev = c
-    raise AccuracyError(
-        f"Chebyshev quadrature did not converge after {_MAX_DOUBLINGS} doublings"
-    )
+        return (c,)
+
+    (c,) = _doubled_quadrature(theta_edges, K, integrals, "Chebyshev")
+    return ChebyshevSeries(K, tuple(c.tolist()), provenance="quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -500,21 +495,40 @@ def series_to_json(series: FourierSeries | ChebyshevSeries) -> str:
     return json.dumps(obj, indent=2)
 
 
+def _finite_floats(obj: dict, name: str, scalar: bool = False) -> tuple[float, ...]:
+    """Field name of a series JSON object as floats.  Only finite JSON
+    numbers are accepted: no strings, bools, nulls, NaN or Infinity."""
+    if name not in obj:
+        raise ValueError(f"series JSON lacks the field {name!r}")
+    values = [obj[name]] if scalar else obj[name]
+    if not isinstance(values, list) or not (kinds := set(map(type, values))) <= {int, float}:
+        raise ValueError(f"series JSON field {name!r} must hold numbers only")
+    try:
+        finite = all(map(math.isfinite, values))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"series JSON field {name!r} must hold finite numbers only")
+    # map(float) costs as much again as the checks; only ints need it
+    return tuple(values) if kinds == {float} else tuple(map(float, values))
+
+
 def series_from_json(text: str) -> FourierSeries | ChebyshevSeries:
-    """Inverse of series_to_json."""
+    """Inverse of series_to_json; malformed input raises ValueError naming
+    the field at fault."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("series JSON must be an object")
     kind = obj.get("kind")
     prov = obj.get("provenance", "unknown")
+    if kind not in ("fourier", "chebyshev"):
+        raise ValueError(f"unknown series kind {kind!r}")
+    K = obj.get("K")
+    if type(K) is not int:
+        raise ValueError("series JSON field 'K' must be an integer")
     if kind == "fourier":
+        (a0_half,) = _finite_floats(obj, "a0_half", scalar=True)
         return FourierSeries(
-            int(obj["K"]),
-            float(obj["a0_half"]),
-            tuple(float(v) for v in obj["a"]),
-            tuple(float(v) for v in obj["b"]),
-            provenance=prov,
+            K, a0_half, _finite_floats(obj, "a"), _finite_floats(obj, "b"), provenance=prov
         )
-    if kind == "chebyshev":
-        return ChebyshevSeries(
-            int(obj["K"]), tuple(float(v) for v in obj["c"]), provenance=prov
-        )
-    raise ValueError(f"unknown series kind {kind!r}")
+    return ChebyshevSeries(K, _finite_floats(obj, "c"), provenance=prov)

@@ -35,7 +35,6 @@ __all__ = [
     "parse_function_spec",
     "format_function_spec",
     "evaluate",
-    "evaluate_array",
     "one_sided_limits",
     "true_jump",
 ]
@@ -281,12 +280,6 @@ def evaluate(f: PiecewiseFunction, x: float) -> float:
         left, right = one_sided_limits(f, x)
         return (left + right) / 2.0
     return eval_expr(f.pieces[_piece_index(f, x)], x)
-
-
-def evaluate_array(f: PiecewiseFunction, xs: np.ndarray) -> np.ndarray:
-    """Vectorized evaluate; same breakpoint-midpoint semantics."""
-    xs = np.asarray(xs, dtype=float)
-    return np.array([evaluate(f, float(v)) for v in xs.ravel()]).reshape(xs.shape)
 
 
 def true_jump(f: PiecewiseFunction, x: float) -> float:

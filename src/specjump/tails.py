@@ -96,47 +96,69 @@ def _resolve_K(series: FourierSeries, n: int, cfg: Optional[TailSumConfig]) -> i
     return K
 
 
-def _tail_sum(series: FourierSeries, x0: float, n: int, K: int, power: int) -> float:
-    ks = np.arange(n, K + 1, dtype=float)
-    a = np.asarray(series.a[n - 1 : K])
-    b = np.asarray(series.b[n - 1 : K])
-    A = a * np.sin(ks * x0) - b * np.cos(ks * x0)
+def _tail_sum(a: np.ndarray, b: Optional[np.ndarray], x0: float, n: int, power: int) -> float:
+    """fsum of (a_k sin k x0 - b_k cos k x0) / k^power over k = n, n+1, ...;
+    the arrays a, b start at k = n, and b=None stands for all b_k = 0."""
+    ks = np.arange(n, n + len(a), dtype=float)
+    A = a * np.sin(ks * x0)
+    if b is not None:
+        A = A - b * np.cos(ks * x0)
     return math.fsum((A / ks**power).tolist())
 
 
-def _rho_star(series: FourierSeries, n: int, K: int) -> float:
-    """Windowed estimate of sup(rho_k * k) / K near the cutoff; the scale
-    factor of the BV-decay model rho_k <= rho_star * K / k used beyond K."""
-    w = max(10, K // 100)
-    lo = max(n, K - w + 1)
-    ks = np.arange(lo, K + 1, dtype=float)
-    a = np.asarray(series.a[lo - 1 : K])
-    b = np.asarray(series.b[lo - 1 : K])
-    return float(np.max(np.hypot(a, b) * ks)) / K if len(ks) else 0.0
+def _window_sup(amp: np.ndarray, K: int) -> float:
+    """Windowed sup of amp_k k / K over the last max(10, K // 100) entries of
+    amp, which ends at k = K: the scale rho* of the bounded-variation decay
+    model amp_k <= rho* K / k used beyond the cutoff."""
+    w = min(len(amp), max(10, K // 100))
+    ks = np.arange(K - w + 1, K + 1, dtype=float)
+    return float(np.max(amp[len(amp) - w :] * ks)) / K
 
 
-def _checked(result: float, bound: float, what: str) -> None:
-    if bound > 0.01 * abs(result):
-        warnings.warn(
-            f"{what}: truncation remainder bound {bound:.3g} exceeds 1% of "
-            f"the result {result:.6g}; raise K_cap or supply more coefficients",
-            PrecisionWarning,
-            stacklevel=3,
-        )
+def _tail(series, x0, r, n, cfg, what: str, conjugate: bool):
+    """The engine of both tail kinds: (value, remainder bound, p) with weight
+    power p = 2r (conjugate) or 2r + 1 (integrated), value
+    (-1)^r sum_{k=n}^{K} A_k / k^p and the bound modeled beyond K.
 
-
-def _integrated_parts(series, x0, r, n, cfg):
+    Warns, naming `what`, when the bound exceeds 1% of the value.  Callers
+    are the public functions only, so stacklevel 3 names their caller.
+    """
+    if conjugate and not (isinstance(r, int) and r >= 1):
+        raise ValueError("conjugate tails require r >= 1")
     if not (isinstance(r, int) and r >= 0):
         raise ValueError("r must be a nonnegative integer")
+    p = 2 * r + (0 if conjugate else 1)
     K = _resolve_K(series, n, cfg)
-    raw = _tail_sum(series, x0, n, K, 2 * r + 1)
+    a, b = np.asarray(series.a[n - 1 : K]), np.asarray(series.b[n - 1 : K])
+    raw = _tail_sum(a, b, x0, n, p)
     value = raw if r % 2 == 0 else -raw
     if cfg is not None and cfg.remainder_bound is not None:
         bound = cfg.remainder_bound
     else:
-        # sum_{k>K} rho* K / k^(2r+2) <= rho* / ((2r+1) K^(2r))
-        bound = _rho_star(series, n, K) / ((2 * r + 1) * float(K) ** (2 * r))
-    return value, bound, K
+        # sum_{k>K} rho* K / k^(p+1) <= rho* / (p K^(p-1))
+        bound = _window_sup(np.hypot(a, b), K) / (p * float(K) ** (p - 1))
+    if bound > 0.01 * abs(value):
+        warnings.warn(
+            f"{what}: truncation remainder bound {bound:.3g} exceeds 1% of "
+            f"the result {value:.6g}; raise K_cap or supply more coefficients",
+            PrecisionWarning,
+            stacklevel=3,
+        )
+    return value, bound, p
+
+
+def _jump(method, x0, r, n, tail, bound, p) -> JumpEstimate:
+    """Jump estimate (-1)^(r+1) p pi n^p times a tail of weight power p."""
+    scale = p * math.pi * float(n) ** p
+    sign = -1.0 if r % 2 == 0 else 1.0
+    return JumpEstimate(
+        method=method,
+        x0=x0,
+        n=n,
+        value=sign * scale * tail,
+        r=r,
+        remainder_bound=scale * bound,
+    )
 
 
 def integrated_tail(
@@ -147,41 +169,15 @@ def integrated_tail(
     Emits PrecisionWarning when the modeled remainder beyond K_cap exceeds
     1% of the result.
     """
-    value, bound, _ = _integrated_parts(series, x0, r, n, cfg)
-    _checked(value, bound, "integrated_tail")
-    return value
+    return _tail(series, x0, r, n, cfg, "integrated_tail", conjugate=False)[0]
 
 
 def jump_from_integrated(
     series: FourierSeries, x0: float, r: int, n: int, cfg: Optional[TailSumConfig] = None
 ) -> JumpEstimate:
     """Jump estimate (-1)^(r+1) (2r+1) pi n^(2r+1) times the integrated tail."""
-    tail, bound, _ = _integrated_parts(series, x0, r, n, cfg)
-    _checked(tail, bound, "jump_from_integrated")
-    scale = (2 * r + 1) * math.pi * float(n) ** (2 * r + 1)
-    sign = -1.0 if r % 2 == 0 else 1.0
-    return JumpEstimate(
-        method="integrated_tail",
-        x0=x0,
-        n=n,
-        value=sign * scale * tail,
-        r=r,
-        remainder_bound=scale * bound,
-    )
-
-
-def _conjugate_parts(series, x0, r, n, cfg):
-    if not (isinstance(r, int) and r >= 1):
-        raise ValueError("conjugate tails require r >= 1")
-    K = _resolve_K(series, n, cfg)
-    raw = _tail_sum(series, x0, n, K, 2 * r)
-    value = raw if r % 2 == 0 else -raw
-    if cfg is not None and cfg.remainder_bound is not None:
-        bound = cfg.remainder_bound
-    else:
-        # sum_{k>K} rho* K / k^(2r+1) <= rho* / (2r K^(2r-1))
-        bound = _rho_star(series, n, K) / (2 * r * float(K) ** (2 * r - 1))
-    return value, bound, K
+    parts = _tail(series, x0, r, n, cfg, "jump_from_integrated", conjugate=False)
+    return _jump("integrated_tail", x0, r, n, *parts)
 
 
 def conjugate_tail(
@@ -193,27 +189,15 @@ def conjugate_tail(
     term-by-term antiderivatives of the conjugate series, the convention
     validated by the sawtooth limit n^2 sum 1/k^3 -> 1/2.
     """
-    value, bound, _ = _conjugate_parts(series, x0, r, n, cfg)
-    _checked(value, bound, "conjugate_tail")
-    return value
+    return _tail(series, x0, r, n, cfg, "conjugate_tail", conjugate=True)[0]
 
 
 def jump_from_conjugate(
     series: FourierSeries, x0: float, r: int, n: int, cfg: Optional[TailSumConfig] = None
 ) -> JumpEstimate:
     """Jump estimate (-1)^(r+1) 2r pi n^(2r) times the conjugate tail."""
-    tail, bound, _ = _conjugate_parts(series, x0, r, n, cfg)
-    _checked(tail, bound, "jump_from_conjugate")
-    scale = 2 * r * math.pi * float(n) ** (2 * r)
-    sign = -1.0 if r % 2 == 0 else 1.0
-    return JumpEstimate(
-        method="conjugate_tail",
-        x0=x0,
-        n=n,
-        value=sign * scale * tail,
-        r=r,
-        remainder_bound=scale * bound,
-    )
+    parts = _tail(series, x0, r, n, cfg, "jump_from_conjugate", conjugate=True)
+    return _jump("conjugate_tail", x0, r, n, *parts)
 
 
 def s_n_diagnostic(series: FourierSeries, x0: float, n: int) -> float:
@@ -261,7 +245,7 @@ _PARSEVAL_MAX_DOUBLINGS = 10
 
 
 def parseval_increment_check(
-    f: PiecewiseFunction, series: FourierSeries, n: int, quad: str = "auto"
+    f: PiecewiseFunction, series: FourierSeries, n: int
 ) -> tuple[float, float]:
     """Both sides of the shifted-increment identity
     (1/pi) integral [f(x + pi/n) - f(x)]^2 dx = 4 sum rho_m^2 sin^2(m pi / 2n).
@@ -273,8 +257,6 @@ def parseval_increment_check(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if quad not in ("auto", "quadrature"):
-        raise ValueError(f"unknown quad mode {quad!r}")
     lo, hi = f.domain
     if not f.periodic or not math.isclose(hi - lo, 2.0 * math.pi):
         raise ValueError("the increment identity needs a 2 pi periodic function")
@@ -282,9 +264,9 @@ def parseval_increment_check(
     period = hi - lo
 
     ms = np.arange(1, series.K + 1, dtype=float)
-    r2 = np.hypot(np.asarray(series.a), np.asarray(series.b)) ** 2
-    rhs = 4.0 * math.fsum((r2 * np.sin(ms * (h / 2.0)) ** 2).tolist())
-    rhs += 2.0 * _rho_star(series, 1, series.K) ** 2 * series.K
+    amp = np.hypot(np.asarray(series.a), np.asarray(series.b))
+    rhs = 4.0 * math.fsum((amp**2 * np.sin(ms * (h / 2.0)) ** 2).tolist())
+    rhs += 2.0 * _window_sup(amp, series.K) ** 2 * series.K
 
     crossings = set()
     for bp in list(f.breakpoints) + [lo]:

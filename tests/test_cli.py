@@ -123,6 +123,39 @@ def test_malformed_n_list_is_a_usage_error(capsys, saw_spec):
     assert rc == 1
 
 
+_SERIES = '{"kind": "fourier", "K": 2, "a0_half": 0.0, "a": [0.0, 0.0], "b": [1.0, B]}'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _SERIES.replace("B", "NaN"),
+        _SERIES.replace("B", "Infinity"),
+        _SERIES.replace("B", "-Infinity"),
+        _SERIES.replace("B", '"1.5"'),
+        _SERIES.replace("B", "true"),
+        _SERIES.replace("B", "null"),
+        _SERIES.replace("B", "1e400"),
+        _SERIES.replace("B", "0.5").replace('"a0_half": 0.0', '"a0_half": NaN'),
+        _SERIES.replace("B", "0.5").replace('"a": [0.0, 0.0], ', ""),
+        _SERIES.replace("B", "0.5").replace('"a": [0.0, 0.0]', '"a": 0.0'),
+        _SERIES.replace("B", "0.5").replace('"K": 2', '"K": null'),
+        '{"kind": "chebyshev", "K": 1, "c": [0.0, NaN]}',
+    ],
+    ids=["nan", "inf", "-inf", "string", "bool", "null", "overflow", "nan-a0", "no-a",
+         "scalar-a", "null-K", "chebyshev-nan"],
+)
+def test_malformed_series_json_exits_1_with_one_error_line(capsys, tmp_path, text):
+    p = tmp_path / "bad.json"
+    p.write_text(text, encoding="utf-8")
+    # coeffs reads the series and writes it back, whatever its kind
+    rc, out, err = run_cli(capsys, "--command", "coeffs", "--input", str(p))
+    assert rc == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
@@ -247,7 +280,7 @@ def test_diagnose_sawtooth_bound(capsys, saw_spec):
     assert rc == 0
     lines = out.strip().splitlines()
     assert lines[0] == "n,sup_n_times_tail"
-    assert lines[1] == "5,1.1065647789355764"
+    assert lines[1] == "5,1.1065647789355761"
 
 
 # ---------------------------------------------------------------------------

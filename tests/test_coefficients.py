@@ -112,14 +112,17 @@ def test_quadrature_agrees_with_closed_form():
     assert abs(q.a0_half - c.a0_half) <= 1e-11
 
 
-# Quadrature bits must not depend on the BLAS kernel or on numpy's CPU
-# dispatch.  Each run is a child interpreter, because OpenBLAS and numpy read
-# these variables once, at load time.  Without AVX512 the numpy variable
-# changes nothing and the runs agree trivially.
+# Quadrature bits, and those of the sawtooth tail-bound sup, must not depend
+# on the BLAS kernel or on numpy's CPU dispatch.  Each run is a child
+# interpreter, because OpenBLAS and numpy read these variables once, at load
+# time.  Without AVX512 the numpy variable changes nothing and the runs agree
+# trivially.
 _DETERMINISM_RUN = """
 import numpy as np
 import specjump as sj
-from specjump.chebyshev import ChebyshevTailConfig, jump_from_chebyshev
+from specjump.chebyshev import (
+    ChebyshevTailConfig, jump_from_chebyshev, sawtooth_tail_bound_check,
+)
 from specjump.coefficients import chebyshev_coefficients, fourier_coefficients
 
 s = chebyshev_coefficients(sj.parse_function_spec("domain [-1, 1]; piece exp(x)"), 64)
@@ -131,6 +134,7 @@ f = sj.parse_function_spec(
 )
 q = fourier_coefficients(f, 160, quad="quadrature")
 print(np.array((q.a0_half,) + q.a + q.b).tobytes().hex())
+print(repr(sawtooth_tail_bound_check((5,))))
 """
 
 _NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"

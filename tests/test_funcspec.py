@@ -1,6 +1,8 @@
 """Parsing, evaluation, and round-trip behavior of piecewise function specs."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from specjump.funcspec import (
     SpecArityError,
     SpecSyntaxError,
     Var,
+    _FUNCTIONS,
     eval_expr,
     eval_expr_array,
 )
@@ -206,6 +209,13 @@ def test_line_and_column_track_newlines():
 def test_unknown_function_is_an_arity_error():
     with pytest.raises(SpecArityError, match="unknown function 'foo'"):
         sj.parse_function_spec("domain [0, 1]; piece foo(x)")
+
+
+def test_readme_lists_exactly_the_parser_functions():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"arity-1 functions (.*?)\. Syntax", readme, re.S).group(1)
+    names = re.findall(r"`(\w+)`", listed)
+    assert sorted(names) == sorted(_FUNCTIONS)
 
 
 def test_extra_call_argument_rejected():
