@@ -4,8 +4,8 @@ Input is either a function-spec text file (funcspec grammar) or a series
 JSON file (coefficients module).  Output is CSV or JSON with repr-formatted
 floats and sorted rows, so identical inputs produce byte-identical files.
 
-Exit codes: 0 success, 1 validation or parse error, 2 precision failure
-(PrecisionWarning raised anywhere and --strict given).
+Exit codes: 0 success, 1 validation, parse or arithmetic error, 2 precision
+failure (PrecisionWarning raised anywhere and --strict given).
 """
 
 from __future__ import annotations
@@ -211,14 +211,6 @@ def _estimator(config: RunConfig, series, basis: str):
     )
 
 
-def _check_schedule(ns: Sequence[int], series) -> None:
-    if ns[-1] > series.K:
-        raise _ValidationError(
-            f"n-schedule reaches {ns[-1]} but the series stores only K={series.K} "
-            "coefficients"
-        )
-
-
 def _flag_divergence(x: float, estimates: Sequence[float]) -> None:
     mags = [abs(v) for v in estimates]
     if len(mags) < 3 or mags[0] <= 0.0 or mags[-1] < 1e-9:
@@ -250,14 +242,25 @@ def _cmd_coeffs(config: RunConfig) -> str:
     return series_to_json(series) + "\n"
 
 
-def _cmd_detect(config: RunConfig) -> str:
+def _jump_setup(config: RunConfig):
+    """The set-up detect and table share, in the order its errors surface:
+    input, basis, n-schedule, series, schedule against K, estimator, points.
+    Returns (f, ns, estimator, points)."""
     f, series_in = _load(config)
     basis = _resolve_basis(config, series_in)
     ns = _n_schedule(config)
     series = _series_for(config, f, series_in, basis, ns[-1])
-    _check_schedule(ns, series)
+    if ns[-1] > series.K:
+        raise _ValidationError(
+            f"n-schedule reaches {ns[-1]} but the series stores only K={series.K} "
+            "coefficients"
+        )
     estimator = _estimator(config, series, basis)
-    points = _eval_points(config, f, series_in, basis)
+    return f, ns, estimator, _eval_points(config, f, series_in, basis)
+
+
+def _cmd_detect(config: RunConfig) -> str:
+    f, ns, estimator, points = _jump_setup(config)
     rows = []
     for x in points:
         truth = _true_jump(f, x)
@@ -270,13 +273,7 @@ def _cmd_detect(config: RunConfig) -> str:
 
 
 def _cmd_table(config: RunConfig) -> str:
-    f, series_in = _load(config)
-    basis = _resolve_basis(config, series_in)
-    ns = _n_schedule(config)
-    series = _series_for(config, f, series_in, basis, ns[-1])
-    _check_schedule(ns, series)
-    estimator = _estimator(config, series, basis)
-    points = _eval_points(config, f, series_in, basis)
+    f, ns, estimator, points = _jump_setup(config)
     if len(points) != 1:
         raise _ValidationError("table reports one location; give exactly one point")
     x = points[0]
@@ -457,9 +454,11 @@ def run(config: RunConfig) -> int:
         except _ValidationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        except ValueError as exc:
+        except (ValueError, ArithmeticError) as exc:
+            # an arithmetic error's message may not say what failed; its class does
             where = f"{config.input}: " if config.input else ""
-            print(f"error: {where}{exc}", file=sys.stderr)
+            kind = "" if isinstance(exc, ValueError) else f"{type(exc).__name__}: "
+            print(f"error: {where}{kind}{exc}", file=sys.stderr)
             return 1
     if config.out:
         with open(config.out, "w", encoding="utf-8", newline="") as fh:

@@ -13,7 +13,6 @@ of index intervals with disjoint interiors; sharing an endpoint is allowed.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -56,33 +55,32 @@ class SampleSequence:
 
 
 def _values(s) -> list[float]:
-    vals = list(s.values) if isinstance(s, SampleSequence) else [float(v) for v in s]
-    if not vals:
-        raise ValueError("empty sample sequence")
-    if not all(math.isfinite(v) for v in vals):
-        raise ValueError("samples must be finite")
-    return vals
+    if not isinstance(s, SampleSequence):
+        s = SampleSequence(tuple(float(v) for v in s))
+    return list(s.values)
 
 
 # ---------------------------------------------------------------------------
 # Chain functionals
 # ---------------------------------------------------------------------------
 
-def p_variation(s, p: float) -> float:
-    """sup over chains i_0<...<i_m of (sum |v_{i_{j+1}} - v_{i_j}|^p)^(1/p).
+def _chain_power_sum(vals: list[float], p: float) -> float:
+    """sup over chains of sum |v_{i_{j+1}} - v_{i_j}|^p.
 
     Dynamic program over chain endpoints, O(n^2); exact on the samples.
     """
+    v = np.asarray(vals, dtype=float)
+    best = np.zeros(len(v))
+    for j in range(1, len(v)):
+        best[j] = np.max(best[:j] + np.abs(v[j] - v[:j]) ** p)
+    return float(np.max(best))
+
+
+def p_variation(s, p: float) -> float:
+    """sup over chains i_0<...<i_m of (sum |v_{i_{j+1}} - v_{i_j}|^p)^(1/p)."""
     if not p >= 1.0:
         raise ValueError("p must be >= 1")
-    v = np.asarray(_values(s), dtype=float)
-    n = len(v)
-    if n < 2:
-        return 0.0
-    best = np.zeros(n)
-    for j in range(1, n):
-        best[j] = np.max(best[:j] + np.abs(v[j] - v[:j]) ** p)
-    return float(np.max(best)) ** (1.0 / p)
+    return _chain_power_sum(_values(s), p) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -99,29 +97,27 @@ class PowerPhi:
         return u**self.exponent
 
 
-def phi_variation(s, phi, cap: int = 18) -> float:
+# largest sample count phi_variation accepts for a general callable
+_PHI_CAP = 18
+
+
+def phi_variation(s, phi) -> float:
     """sup over chains of sum phi(|v_{i_{j+1}} - v_{i_j}|).
 
     PowerPhi arguments run through the p-variation machinery at any size.
     Other callables must satisfy phi(0) = 0 and are only accepted up to
-    `cap` samples; the chain DP evaluates the same supremum a brute-force
+    _PHI_CAP samples; the chain DP evaluates the same supremum a brute-force
     enumeration would.
     """
     vals = _values(s)
     n = len(vals)
     if isinstance(phi, PowerPhi):
-        v = np.asarray(vals)
-        if n < 2:
-            return 0.0
-        best = np.zeros(n)
-        for j in range(1, n):
-            best[j] = np.max(best[:j] + np.abs(v[j] - v[:j]) ** phi.exponent)
-        return float(np.max(best))
+        return _chain_power_sum(vals, phi.exponent)
     if not callable(phi):
         raise TypeError("phi must be callable or a PowerPhi")
-    if n > cap:
+    if n > _PHI_CAP:
         raise ValueError(
-            f"{n} samples exceed the cap of {cap} for a general phi; "
+            f"{n} samples exceed the cap of {_PHI_CAP} for a general phi; "
             "use PowerPhi for power functions"
         )
     if phi(0.0) != 0.0:
@@ -238,41 +234,42 @@ def _maxsum_table(v: list[float], m_max: int, backtrack: bool):
     n = len(v)
     E_prev = np.zeros(n)
     nu = []
-    choices = []
+    # starts[m-1][j]: start index of the interval ending at j in the best
+    # m-family on v[:j+1], or -1 when that family skips j
+    starts = []
     for _ in range(m_max):
         E = np.zeros(n)
-        ch = [None] * n
-        for jj in range(n):
-            b = E[jj - 1] if jj else 0.0
-            pick = ("skip",) if jj else None
-            if jj:
-                cand = E_prev[:jj] + np.abs(arr[jj] - arr[:jj])
-                i = int(np.argmax(cand))
-                if cand[i] > b:
-                    b, pick = float(cand[i]), ("take", i)
+        start = [-1] * n
+        for jj in range(1, n):
+            b = E[jj - 1]
+            cand = E_prev[:jj] + np.abs(arr[jj] - arr[:jj])
+            i = int(np.argmax(cand))
+            if cand[i] > b:
+                b, start[jj] = cand[i], i
             E[jj] = b
-            ch[jj] = pick
         nu.append(float(E[n - 1]))
-        choices.append(ch)
+        starts.append(start)
         E_prev = E
     if not backtrack:
         return nu, None
     fams = []
     for m in range(1, m_max + 1):
         osc, mm, jj = [], m, n - 1
-        while mm > 0 and jj >= 0:
-            pick = choices[mm - 1][jj]
-            if pick is None:
-                break
-            if pick[0] == "skip":
+        while mm > 0 and jj > 0:
+            i = starts[mm - 1][jj]
+            if i < 0:
                 jj -= 1
             else:
-                i = pick[1]
                 osc.append(abs(v[jj] - v[i]))
                 jj = i
                 mm -= 1
         fams.append(osc)
     return nu, fams
+
+
+def _weighted(osc, W: list[float]) -> float:
+    """sum_t W[t-1] times the t-th largest oscillation."""
+    return math.fsum(o * w for o, w in zip(sorted(osc, reverse=True), W))
 
 
 def lambda_variation(
@@ -309,66 +306,50 @@ def lambda_variation(
     # incumbent: best max-sum family per interval count, canonically valued
     t_seed = min(mcap, 64)
     nu, fams = _maxsum_table(v, t_seed, backtrack=True)
-    best = 0.0
-    for osc in fams:
-        osc.sort(reverse=True)
-        val = math.fsum(o * w for o, w in zip(osc, W))
-        if val > best:
-            best = val
+    best = max([0.0] + [_weighted(osc, W) for osc in fams])
 
-    best_box = [best]
-    nodes = [0]
-    complete = [True]
+    # Depth-first search, taking candidate i before skipping it.  A node is
+    # (i, q, acc): next candidate, intervals chosen, their weighted sum; the
+    # inner loop walks down the take branches and stacks the skip branches.
     chosen: list[tuple[int, int]] = []
+    stack = [(0, 0, 0.0)]
+    nodes = 0
+    complete = True
     slack = 1e-12
-
-    def canonical(fam):
-        osc = sorted((abs(v[b] - v[a]) for a, b in fam), reverse=True)
-        return math.fsum(o * w for o, w in zip(osc, W))
-
-    def rec(i, q, acc):
-        nodes[0] += 1
-        if nodes[0] > node_budget:
-            complete[0] = False
-            return
-        if acc > best_box[0]:
-            val = canonical(chosen)
-            if val > best_box[0]:
-                best_box[0] = val
-        if i >= ncand or q >= mcap or not complete[0]:
-            return
-        # candidates are sorted descending, so rank weights apply in order
-        bound = acc
-        r = 0
-        while q + r < mcap and i + r < ncand:
-            t = W[q + r] * oscs[i + r]
-            bound += t
-            r += 1
-            if t < 1e-16 * max(bound, 1.0):
+    while stack and complete:
+        i, q, acc = stack.pop()
+        del chosen[q:]
+        while True:
+            nodes += 1
+            if nodes > node_budget:
+                complete = False
                 break
-        if bound <= best_box[0] + slack:
-            return
-        o, a, b = cands[i]
-        ok = True
-        for x, y in chosen:
-            if a < y and x < b:
-                ok = False
+            if acc > best:
+                best = max(best, _weighted((abs(v[b] - v[a]) for a, b in chosen), W))
+            if i >= ncand or q >= mcap:
                 break
-        if ok:
-            chosen.append((a, b))
-            rec(i + 1, q + 1, acc + o * W[q])
-            chosen.pop()
-        if complete[0]:
-            rec(i + 1, q, acc)
+            # candidates are sorted descending, so rank weights apply in order
+            bound = acc
+            r = 0
+            while q + r < mcap and i + r < ncand:
+                t = W[q + r] * oscs[i + r]
+                bound += t
+                r += 1
+                if t < 1e-16 * max(bound, 1.0):
+                    break
+            if bound <= best + slack:
+                break
+            o, a, b = cands[i]
+            for x, y in chosen:
+                if a < y and x < b:
+                    i += 1
+                    break
+            else:
+                stack.append((i + 1, q, acc))
+                chosen.append((a, b))
+                i, q, acc = i + 1, q + 1, acc + o * W[q]
 
-    limit = sys.getrecursionlimit()
-    try:
-        sys.setrecursionlimit(max(limit, ncand + 1000))
-        rec(0, 0, 0.0)
-    finally:
-        sys.setrecursionlimit(limit)
-
-    if not complete[0]:
+    if not complete:
         # Abel bound: sum_t (w_t - w_{t+1}) nu(t), tail controlled by the
         # total variation, which bounds nu from above
         tv = math.fsum(abs(y - x) for x, y in zip(v, v[1:]))
@@ -380,12 +361,12 @@ def lambda_variation(
             ub += W[t_seed] * tv
         warnings.warn(
             f"variation search hit the node budget ({node_budget}); "
-            f"returning {best_box[0]:.6g}, upper bound {ub:.6g} "
-            f"(gap {max(ub - best_box[0], 0.0):.3g})",
+            f"returning {best:.6g}, upper bound {ub:.6g} "
+            f"(gap {max(ub - best, 0.0):.3g})",
             PrecisionWarning,
             stacklevel=2,
         )
-    return best_box[0]
+    return best
 
 
 def modulus_of_variation(s, n_max: int) -> list[float]:
@@ -443,7 +424,6 @@ class VariationReport:
 
     p_variation: dict[float, float]
     harmonic_variation: float
-    lambda_variation: dict[str, float]
     modulus: tuple[float, ...]
     grid_density: Optional[int] = None
     suggested_class: Optional[ClassLabel] = None
@@ -453,7 +433,7 @@ class VariationReport:
             "grid_density": self.grid_density,
             "p_variation": {repr(p): val for p, val in self.p_variation.items()},
             "harmonic_variation": self.harmonic_variation,
-            "lambda_variation": dict(self.lambda_variation),
+            "lambda_variation": {"harmonic": self.harmonic_variation},
             "modulus": list(self.modulus),
             "suggested_class": None
             if self.suggested_class is None
@@ -542,20 +522,17 @@ def classify(reports: Sequence[VariationReport], thresholds: Optional[Thresholds
     return ClassLabel("inconclusive")
 
 
-def build_report(
-    s,
-    grid_density: Optional[int] = None,
-    p_grid: Sequence[float] = (1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0, 3.25, 3.5, 3.75, 4.0),
-    modulus_n_max: int = 32,
-    node_budget: int = 200_000,
-) -> VariationReport:
+# the battery of build_report: p-variation exponents and the largest modulus count
+_P_GRID = (1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0, 3.25, 3.5, 3.75, 4.0)
+_MODULUS_N_MAX = 32
+
+
+def build_report(s, grid_density: Optional[int] = None) -> VariationReport:
     """Compute the standard functional battery on one sample grid."""
     vals = _values(s)
-    harmonic = lambda_variation(vals, LambdaSequence.harmonic(), node_budget=node_budget)
     return VariationReport(
-        p_variation={p: p_variation(vals, p) for p in p_grid},
-        harmonic_variation=harmonic,
-        lambda_variation={"harmonic": harmonic},
-        modulus=tuple(modulus_of_variation(vals, min(modulus_n_max, max(1, len(vals) - 1)))),
+        p_variation={p: p_variation(vals, p) for p in _P_GRID},
+        harmonic_variation=lambda_variation(vals, LambdaSequence.harmonic()),
+        modulus=tuple(modulus_of_variation(vals, min(_MODULUS_N_MAX, max(1, len(vals) - 1)))),
         grid_density=grid_density,
     )

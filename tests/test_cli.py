@@ -156,6 +156,30 @@ def test_malformed_series_json_exits_1_with_one_error_line(capsys, tmp_path, tex
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "spec, flags",
+    [
+        # the remainder bound's power of K overflows a float at K = 200000
+        (SAWTOOTH_SPEC, ("--method", "integrated", "--r", "40")),
+        (SAWTOOTH_SPEC, ("--method", "conjugate", "--r", "40")),
+        # the true jump of 1/x at its pole divides by zero
+        ("domain [-1, 1]; piece 1/x", ("--method", "chebyshev", "--points=0.0", "--Kcap", "64")),
+    ],
+    ids=["integrated-overflow", "conjugate-overflow", "chebyshev-pole"],
+)
+def test_arithmetic_failure_exits_1_with_one_error_line(capsys, tmp_path, spec, flags):
+    p = tmp_path / "f.spec"
+    p.write_text(spec + "\n", encoding="utf-8")
+    rc, out, err = run_cli(
+        capsys, "--command", "detect", "--input", str(p), "--nmax", "50", *flags
+    )
+    assert rc == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
@@ -231,6 +255,17 @@ def test_variation_report_and_suggested_class(capsys, sign_spec):
     assert lines[2] == "lambda_variation,harmonic,8,2.0"
     assert "p_variation,1.0,64,2.0" in lines
     assert "modulus,1,8,2.0" in lines
+
+
+def test_variation_json_reports_the_harmonic_value_twice(capsys, sign_spec):
+    rc, out, err = run_cli(
+        capsys, "--command", "variation", "--input", sign_spec, "--format", "json"
+    )
+    assert rc == 0
+    reports = json.loads(out)["reports"]
+    assert [r["grid_density"] for r in reports] == [8, 16, 32, 64]
+    for r in reports:
+        assert r["lambda_variation"] == {"harmonic": r["harmonic_variation"]}
 
 
 # ---------------------------------------------------------------------------

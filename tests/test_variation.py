@@ -187,6 +187,26 @@ def test_lambda_variation_budget_exhaustion_warns_with_upper_bound():
     assert val <= exact * (1.0 + 1e-12)
 
 
+def test_lambda_variation_pins_budget_bound_searches_on_a_chirp():
+    # x sin(x^-2) oscillates too fast for the search to finish: each budget
+    # returns the incumbent it reached, and the same upper bound
+    f = sj.parse_function_spec("domain [0.02, 1]; piece x*sin(1/x^2)")
+    s = sample_for_variation(f, 128)
+    harm = LambdaSequence.harmonic()
+    pins = {
+        2000: (2.8708539223432012, "returning 2.87085, upper bound 3.00955 (gap 0.139)"),
+        20000: (2.8726861688970775, "returning 2.87269, upper bound 3.00955 (gap 0.137)"),
+    }
+    for budget, (value, tail) in pins.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert lambda_variation(s, harm, node_budget=budget) == value
+        assert [str(w.message) for w in caught] == [
+            f"variation search hit the node budget ({budget}); {tail}"
+        ]
+        assert caught[0].category is PrecisionWarning
+
+
 def test_modulus_examples():
     assert modulus_of_variation([0.0, 1.0, 0.0, 1.0], 3) == [1.0, 2.0, 3.0]
     assert modulus_of_variation([0.0, 1.0], 3) == [1.0, 1.0, 1.0]
@@ -236,7 +256,6 @@ def _report(density, pv, harm, mod):
     return VariationReport(
         p_variation=pv,
         harmonic_variation=harm,
-        lambda_variation={"harmonic": harm},
         modulus=tuple(mod),
         grid_density=density,
     )
