@@ -4,8 +4,8 @@ Input is either a function-spec text file (funcspec grammar) or a series
 JSON file (coefficients module).  Output is CSV or JSON with repr-formatted
 floats and sorted rows, so identical inputs produce byte-identical files.
 
-Exit codes: 0 success, 1 validation, parse or arithmetic error, 2 precision
-failure (PrecisionWarning raised anywhere and --strict given).
+Exit codes: 0 success, 1 validation, parse, arithmetic or accuracy error,
+2 precision failure (PrecisionWarning raised anywhere and --strict given).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import numpy as np
 
 from . import chebyshev as chebmod
 from .coefficients import (
+    AccuracyError,
     ChebyshevSeries,
     FourierSeries,
     _closed_form_polys,
@@ -454,7 +455,7 @@ def run(config: RunConfig) -> int:
         except _ValidationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        except (ValueError, ArithmeticError) as exc:
+        except (ValueError, ArithmeticError, AccuracyError) as exc:
             # an arithmetic error's message may not say what failed; its class does
             where = f"{config.input}: " if config.input else ""
             kind = "" if isinstance(exc, ValueError) else f"{type(exc).__name__}: "

@@ -2,9 +2,10 @@
 
 Coefficients are computed either in closed form (piecewise polynomials of
 degree at most three) or by composite Gauss-Legendre quadrature whose panels
-never straddle a breakpoint.  Quadrature results are accepted only after a
-panel-doubling agreement test, so a stored series is trustworthy to the
-tolerance baked in here.
+never straddle a breakpoint; its sums over uniform panels are chirp-z
+transforms, so a rule costs O((N + K) log(N + K)) for N panels, not O(N K).
+Quadrature results are accepted only after a panel-doubling agreement test,
+so a stored series is trustworthy to the tolerance baked in here.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .funcspec import (
     Num,
     PiecewiseFunction,
     Var,
+    _format_expr,
     eval_expr_array,
 )
 
@@ -43,8 +45,6 @@ __all__ = [
 
 _DOUBLING_TOL = 1e-12
 _MAX_DOUBLINGS = 8
-_K_CHUNK = 128
-_NODE_BLOCK = 1024
 
 
 class AccuracyError(RuntimeError):
@@ -268,42 +268,98 @@ def _panel_nodes(edges, panels_per_piece):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _weighted_trig_sums(ks, xs, w, parts):
-    """sum_j w_j part(k xs_j) for every k in ks, one array per part in parts
-    (np.cos, np.sin).
+# 2 pi in three parts of 27, 25 and 53 bits (Cody-Waite): q times either of
+# the first two is exact for |q| < 2**26, and the three sum to 2 pi within
+# 2e-34.
+_TWO_PI = (
+    float.fromhex("0x1.921fb54000000p+2"),
+    float.fromhex("0x1.10b4610000000p-28"),
+    float.fromhex("0x1.a62633145c06ep-56"),
+)
+_VELTKAMP = 134217729.0  # 2**27 + 1
 
-    The summation order is fixed, so the bits depend neither on the BLAS
-    kernel (a matvec would) nor on numpy's SIMD dispatch: numpy's pairwise
-    sum within each block of _NODE_BLOCK nodes, then the block partials added
-    left to right.  Blocks are built in two preallocated buffers, which keeps
-    the working set in cache instead of materialising K x N phase arrays.
+
+def _split(v):
+    """Veltkamp's split v = hi + lo into halves of at most 26 bits each, so
+    the product of two halves is exact."""
+    c = _VELTKAMP * v
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _phase(x: float, n: np.ndarray) -> np.ndarray:
+    """x * n reduced modulo 2 pi, for integers n < 2**53, to within a few ulp
+    of 2 pi (for x * n below about 4e8).
+
+    The product is the exact sum of four products of split halves; each is
+    reduced by round(part / 2 pi) times the three-part 2 pi.  A plain x * n
+    of size 1e7 is already off by about 1e-9.
     """
-    sums = [np.zeros(len(ks)) for _ in parts]
-    phase_buf = np.empty((_K_CHUNK, _NODE_BLOCK))
-    term_buf = np.empty((_K_CHUNK, _NODE_BLOCK))
-    for k0 in range(0, len(ks), _K_CHUNK):
-        kc = ks[k0 : k0 + _K_CHUNK]
-        for j0 in range(0, len(xs), _NODE_BLOCK):
-            xb, wb = xs[j0 : j0 + _NODE_BLOCK], w[j0 : j0 + _NODE_BLOCK]
-            phase = phase_buf[: len(kc), : len(xb)]
-            term = term_buf[: len(kc), : len(xb)]
-            np.multiply.outer(kc, xb, out=phase)
-            for part, total in zip(parts, sums):
-                part(phase, out=term)
-                term *= wb
-                total[k0 : k0 + len(kc)] += term.sum(axis=1)
-    return sums
+    out = np.zeros(len(n))
+    for xp in _split(x):
+        for npart in _split(n):
+            part = xp * npart
+            q = np.round(part / (2.0 * math.pi))
+            out += ((part - q * _TWO_PI[0]) - q * _TWO_PI[1]) - q * _TWO_PI[2]
+    return out
 
 
-def _piece_values(edges, pieces, nodes: np.ndarray, x_of=None) -> np.ndarray:
-    """Each piece's expression at the nodes inside its edges, evaluated at
-    x_of(node) (the node itself when x_of is None); nodes never hit an edge."""
-    out = np.empty_like(nodes)
-    for i, expr in enumerate(pieces):
-        mask = (nodes > edges[i]) & (nodes < edges[i + 1])
-        if mask.any():
-            inside = nodes[mask]
-            out[mask] = eval_expr_array(expr, inside if x_of is None else x_of(inside))
+def _cis_minus(theta: np.ndarray) -> np.ndarray:
+    """exp(-i theta)."""
+    return np.cos(theta) - 1j * np.sin(theta)
+
+
+def _piece_values(number: int, expr, nodes: np.ndarray, x_of=None) -> np.ndarray:
+    """The piece's expression at x_of(nodes) (the nodes themselves when x_of is
+    None); raises ValueError naming the piece if any value is not finite."""
+    xs = nodes if x_of is None else x_of(nodes)
+    out = eval_expr_array(expr, xs)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise ValueError(
+            f"piece {number} ({_format_expr(expr)}) is not finite at "
+            f"x = {float(xs[bad][0])!r}; quadrature needs finite values"
+        )
+    return out
+
+
+def _panel_sums(edges, pieces, K: int, panels, x_of=None) -> np.ndarray:
+    """S[k] = sum w f(x) exp(-ikx), k = 0..K, over one composite 16-point
+    Gauss-Legendre rule: panels[i] uniform panels on piece i, which is
+    pieces[i] = (number, expr) on edges[i]..edges[i + 1].  S[0] is the plain
+    sum of w f(x).
+
+    Piece [lo, hi] with P panels of width 2h has nodes
+    x = lo + h (2p + 1 + t_j), weights h w_j, for p < P and the 16 offsets
+    t_j.  So for each j, S is exp(-ik(lo + h(1 + t_j))) times the chirp-z
+    transform sum_p G[j, p] exp(-2ihkp), which Bluestein's identity
+    2kp = k^2 + p^2 - (k - p)^2 turns into one FFT convolution with the chirp
+    exp(-ihn^2): O((P + K) log(P + K)) per offset instead of O(P K).  The
+    chirp phases reach 1e7 rad, so _phase reduces them exactly.  Offsets are
+    done one at a time, in a fixed order, and the FFTs are numpy's pocketfft
+    (no BLAS), so the bits are the same on every host.
+    """
+    ks = np.arange(K + 1.0)
+    out = np.zeros(K + 1, dtype=complex)
+    total = 0.0
+    for (lo, hi), P, (number, expr) in zip(zip(edges, edges[1:]), panels, pieces):
+        h = (hi - lo) / (2.0 * P)
+        n = np.arange(max(P, K + 1), dtype=float)
+        chirp = _cis_minus(_phase(h, n * n))
+        size = 1 << (P + K - 1).bit_length()  # >= P + K: no wrap-around
+        kernel = np.zeros(size, dtype=complex)
+        kernel[: K + 1] = chirp[: K + 1].conj()
+        kernel[size - P + 1 :] = chirp[P - 1 : 0 : -1].conj()
+        kernel = np.fft.fft(kernel)
+        twice_p = 2.0 * np.arange(P, dtype=float)
+        piece = np.zeros(K + 1, dtype=complex)
+        for t, w in zip(_GL_NODES, _GL_WEIGHTS):
+            g = (h * w) * _piece_values(number, expr, lo + h * (twice_p + (1.0 + t)), x_of)
+            total += float(np.sum(g))
+            conv = np.fft.ifft(np.fft.fft(g * chirp[:P], size) * kernel)[: K + 1]
+            piece += conv * _cis_minus(_phase(lo + h * (1.0 + t), ks))
+        out += piece * chirp[: K + 1]
+    out[0] = total
     return out
 
 
@@ -323,14 +379,13 @@ def _closed_form_polys(f: PiecewiseFunction, quad: str) -> Optional[list[list[fl
     return None
 
 
-def _doubled_quadrature(edges, K: int, integrals, basis: str) -> tuple:
+def _doubled_quadrature(edges, pieces, K: int, coefficients, basis: str, x_of=None) -> tuple:
     """Panel doubling shared by both bases.
 
-    integrals(nodes, weights) returns a tuple of coefficient arrays (or
-    floats) for one composite rule on edges.  The panel counts start near 8
-    panels per period of cos(K t) and double until no entry moves by
-    _DOUBLING_TOL or more; at most _MAX_DOUBLINGS doublings, then
-    AccuracyError.
+    coefficients(S) turns the _panel_sums of one composite rule on edges into
+    a tuple of coefficient arrays.  The panel counts start near 8 panels per
+    period of cos(K t) and double until no entry moves by _DOUBLING_TOL or
+    more; at most _MAX_DOUBLINGS doublings, then AccuracyError.
     """
     base = [
         max(2, int(math.ceil(K * (hi - lo) / (2.0 * math.pi) * 2)))
@@ -339,7 +394,7 @@ def _doubled_quadrature(edges, K: int, integrals, basis: str) -> tuple:
     prev = None
     for attempt in range(_MAX_DOUBLINGS + 1):
         mult = 2**attempt
-        cur = integrals(*_panel_nodes(edges, [n * mult for n in base]))
+        cur = coefficients(_panel_sums(edges, pieces, K, [n * mult for n in base], x_of))
         if prev is not None:
             delta = max(float(np.max(np.abs(c - p))) for c, p in zip(cur, prev))
             if delta < _DOUBLING_TOL:
@@ -368,12 +423,13 @@ def fourier_coefficients(f: PiecewiseFunction, K: int, quad: str = "auto") -> Fo
     edges = f.edges
     period_half = (edges[-1] - edges[0]) / 2.0
 
-    def integrals(xs, ws):
-        wf = ws * _piece_values(edges, f.pieces, xs)
-        a, b = _weighted_trig_sums(np.arange(1.0, K + 1), xs, wf, (np.cos, np.sin))
-        return float(np.sum(wf)) / (2.0 * period_half), a / period_half, b / period_half
+    def coefficients(S):
+        # S[k] = sum w f (cos kx - i sin kx)
+        return S[0].real / (2.0 * period_half), S.real[1:] / period_half, -S.imag[1:] / period_half
 
-    a0_half, a, b = _doubled_quadrature(edges, K, integrals, "Fourier")
+    a0_half, a, b = _doubled_quadrature(
+        edges, list(enumerate(f.pieces, 1)), K, coefficients, "Fourier"
+    )
     return FourierSeries(
         K, a0_half, tuple(a.tolist()), tuple(b.tolist()), provenance="quadrature"
     )
@@ -397,16 +453,15 @@ def chebyshev_coefficients(f: PiecewiseFunction, K: int, quad: str = "auto") -> 
 
     # theta edges ascending; x edge -1 maps to pi
     theta_edges = [math.acos(max(-1.0, min(1.0, x))) for x in reversed(f.edges)]
-    exprs = list(reversed(f.pieces))
 
-    def integrals(ts, ws):
-        wg = ws * _piece_values(theta_edges, exprs, ts, np.cos)
-        (c,) = _weighted_trig_sums(np.arange(0.0, K + 1), ts, wg, (np.cos,))
-        c *= 2.0 / math.pi
+    def coefficients(S):
+        c = S.real * (2.0 / math.pi)
         c[0] /= 2.0
         return (c,)
 
-    (c,) = _doubled_quadrature(theta_edges, K, integrals, "Chebyshev")
+    (c,) = _doubled_quadrature(
+        theta_edges, list(enumerate(f.pieces, 1))[::-1], K, coefficients, "Chebyshev", np.cos
+    )
     return ChebyshevSeries(K, tuple(c.tolist()), provenance="quadrature")
 
 

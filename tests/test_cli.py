@@ -162,7 +162,8 @@ def test_malformed_series_json_exits_1_with_one_error_line(capsys, tmp_path, tex
         # the remainder bound's power of K overflows a float at K = 200000
         (SAWTOOTH_SPEC, ("--method", "integrated", "--r", "40")),
         (SAWTOOTH_SPEC, ("--method", "conjugate", "--r", "40")),
-        # the true jump of 1/x at its pole divides by zero
+        # 1/x has a pole inside its piece, so Chebyshev quadrature does not
+        # converge under panel doubling (AccuracyError)
         ("domain [-1, 1]; piece 1/x", ("--method", "chebyshev", "--points=0.0", "--Kcap", "64")),
     ],
     ids=["integrated-overflow", "conjugate-overflow", "chebyshev-pole"],
@@ -178,6 +179,31 @@ def test_arithmetic_failure_exits_1_with_one_error_line(capsys, tmp_path, spec, 
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "spec, method, piece",
+    [
+        ("domain [-1, 1]; piece sqrt(x)", "chebyshev", "piece 1 (sqrt(x))"),
+        ("domain [-pi, pi] periodic; piece x on [-pi, 0); piece sqrt(x - 1) on (0, pi]",
+         "integrated", "piece 2 (sqrt(x - 1.0))"),
+    ],
+    ids=["chebyshev", "fourier"],
+)
+def test_non_finite_integrand_exits_1_at_the_first_panel_rule(capsys, tmp_path, spec, method, piece):
+    # the piece is nan on part of its interval: quadrature stops at its first
+    # rule, naming the piece, instead of doubling panels 8 times
+    p = tmp_path / "f.spec"
+    p.write_text(spec + "\n", encoding="utf-8")
+    rc, out, err = run_cli(
+        capsys, "--command", "detect", "--input", str(p),
+        "--method", method, "--Kcap", "512", "--points=0.5",
+    )
+    assert rc == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert f"{piece} is not finite" in lines[0]
 
 
 # ---------------------------------------------------------------------------

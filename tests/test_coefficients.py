@@ -3,16 +3,22 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 
 import specjump as sj
 from specjump.coefficients import (
     A_k,
+    _phase,
     ChebyshevSeries,
     FourierSeries,
     chebyshev_coefficients,
@@ -24,6 +30,7 @@ from specjump.coefficients import (
     series_from_json,
     series_to_json,
 )
+from specjump.funcspec import eval_expr
 from specjump.tails import AccuracyError
 
 from conftest import SAWTOOTH_SPEC, SIGN_COS_SPEC, SIGN_SPEC, SIGN_X_SPEC
@@ -103,13 +110,83 @@ def test_sign_coefficients_odd_harmonics_only():
 
 def test_quadrature_agrees_with_closed_form():
     f = sj.parse_function_spec(SAWTOOTH_SPEC)
-    q = fourier_coefficients(f, 64, quad="quadrature")
-    c = fourier_coefficients(f, 64, quad="closed_form")
-    assert q.provenance == "quadrature"
-    assert c.provenance == "closed_form"
-    for p, r in zip(q.a + q.b, c.a + c.b):
-        assert abs(p - r) <= 1e-11
-    assert abs(q.a0_half - c.a0_half) <= 1e-11
+    for K in (64, 4096):  # 4096 is the CLI default for quadrature
+        q = fourier_coefficients(f, K, quad="quadrature")
+        c = fourier_coefficients(f, K, quad="closed_form")
+        assert q.provenance == "quadrature"
+        assert c.provenance == "closed_form"
+        for p, r in zip(q.a + q.b, c.a + c.b):
+            assert abs(p - r) <= 1e-11
+        assert abs(q.a0_half - c.a0_half) <= 1e-11
+
+
+_SMOOTH_PIECES = ("exp(x/3)*sin(x)", "x^3 - x^2 + cos(2*x)")
+
+
+@pytest.mark.parametrize("basis", ["fourier", "chebyshev"])
+def test_quadrature_matches_scipy_quad_up_to_k_4096(basis):
+    # the same two non-polynomial pieces on each basis's domain; scipy's QAWO
+    # rule integrates piece * cos(kx) (and sin) with its own method
+    K = 4096
+    if basis == "fourier":
+        bp, lo, hi, head = 0.0, -math.pi, math.pi, "domain [-pi, pi] periodic"
+    else:
+        bp, lo, hi, head = 0.3, -1.0, 1.0, "domain [-1, 1]"
+    f = sj.parse_function_spec(
+        f"{head}; piece {_SMOOTH_PIECES[0]} on [{lo!r}, {bp!r}); "
+        f"piece {_SMOOTH_PIECES[1]} on ({bp!r}, {hi!r}]"
+    )
+
+    def integral(weight, k):
+        total = 0.0
+        for expr, (a, b) in zip(f.pieces, zip(f.edges, f.edges[1:])):
+            if basis == "fourier":
+                g = lambda x, expr=expr: eval_expr(expr, x)  # noqa: E731
+            else:  # in theta = arccos x, which reverses the interval
+                g = lambda t, expr=expr: eval_expr(expr, math.cos(t))  # noqa: E731
+                a, b = math.acos(b), math.acos(a)
+            total += quad(g, a, b, weight=weight, wvar=k, epsabs=1e-15, epsrel=1e-15, limit=200)[0]
+        return total
+
+    ks = (1, 100, 1000, 2500, 4000, 4096)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        if basis == "fourier":
+            s = fourier_coefficients(f, K)
+            assert s.provenance == "quadrature"
+            assert abs(s.a0_half - integral("cos", 0) / (2 * math.pi)) <= 1e-14
+            for k in ks:
+                assert abs(s.a[k - 1] - integral("cos", k) / math.pi) <= 1e-14, k
+                assert abs(s.b[k - 1] - integral("sin", k) / math.pi) <= 1e-14, k
+        else:
+            s = chebyshev_coefficients(f, K)
+            assert s.provenance == "quadrature"
+            assert abs(s.c[0] - integral("cos", 0) / math.pi) <= 1e-14
+            for k in ks:
+                assert abs(s.c[k] - integral("cos", k) * 2 / math.pi) <= 1e-14, k
+
+
+_PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494459230781640628620899")
+
+
+def test_chirp_phase_reduction_is_exact_to_a_few_ulp():
+    # x * n^2 modulo 2 pi, against exact rational arithmetic, for n up to
+    # 2**20 and steps x like the panel half-widths h; x * n^2 reaches 4e8
+    def off(approx, x, n):
+        d = Fraction(approx) - Fraction(x) * n * n
+        return abs(float(d - round(d / (2 * _PI)) * 2 * _PI))
+
+    rng = random.Random(20)
+    ns = sorted({rng.randrange(1 << 20) for _ in range(200)} | {0, 1, (1 << 20) - 1, 1 << 20})
+    n2 = np.array(ns, dtype=float) ** 2
+    worst = worst_plain = 0.0
+    for x in (math.pi / 2**21, 2.4231859299916517e-05, 3e-4, math.pi / 8190, -2.9e-4):
+        got = _phase(x, n2)
+        for n, g, plain in zip(ns, got, x * n2):
+            worst = max(worst, off(g, x, n))
+            worst_plain = max(worst_plain, off(plain, x, n))
+    assert worst <= 4 * math.ulp(2 * math.pi)
+    assert worst_plain > 1e-8  # what the reduction is for
 
 
 # Quadrature bits, and those of the sawtooth tail-bound sup, must not depend
