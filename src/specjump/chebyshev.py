@@ -103,17 +103,17 @@ def _integrated_x_domain(series: ChebyshevSeries, x: float, n: int, K: int) -> f
     value = 0.0
     m = max(n, 2)
     if n <= 1 and K >= 1:
-        value += c[1] * (x * x - 1.0) / 2.0
+        value += float(c[1]) * (x * x - 1.0) / 2.0
     if m <= K:
         D = np.zeros(K + 2)
         js = np.arange(m + 1, K + 2, dtype=float)
-        D[m + 1 : K + 2] += np.asarray(c[m : K + 1]) / (2.0 * js)
+        D[m + 1 : K + 2] += c[m : K + 1] / (2.0 * js)
         if m - 1 <= K - 1:
             js = np.arange(max(m - 1, 1), K, dtype=float)
-            D[max(m - 1, 1) : K] -= np.asarray(c[max(m - 1, 1) + 1 : K + 1]) / (2.0 * js)
+            D[max(m - 1, 1) : K] -= c[max(m - 1, 1) + 1 : K + 1] / (2.0 * js)
         ks = np.arange(m, K + 1, dtype=float)
         signs = np.where(np.arange(m, K + 1) % 2 == 0, 1.0, -1.0)
-        const = math.fsum((-np.asarray(c[m : K + 1]) * signs / (ks**2 - 1.0)).tolist())
+        const = math.fsum((-c[m : K + 1] * signs / (ks**2 - 1.0)).tolist())
         value += float(_cheb.chebval(x, D)) + const
     return value
 
@@ -127,7 +127,7 @@ def _integrated_theta_domain(series: ChebyshevSeries, x: float, n: int, K: int) 
     """
     eta = math.acos(x)
     ks = np.arange(n, K + 1, dtype=float)
-    cs = np.asarray(series.c[n : K + 1])
+    cs = series.c[n : K + 1]
     r1 = _tail_sum(cs, None, eta, n, 1)
     kp, km = ks + 1.0, ks - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):

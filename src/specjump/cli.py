@@ -43,6 +43,7 @@ from .funcspec import (
 )
 from .summability import cesaro_jump, fejer_jump
 from .tails import (
+    _METHODS as _ESTIMATORS,
     PrecisionWarning,
     TailSumConfig,
     jump_from_conjugate,
@@ -56,7 +57,7 @@ from .variation import SampleSequence, build_report, classify
 __all__ = ["RunConfig", "run", "sample_for_variation", "main", "entry"]
 
 _COMMANDS = ("coeffs", "detect", "table", "variation", "diagnose")
-_METHODS = ("fejer", "cesaro", "integrated", "conjugate", "chebyshev")
+_METHODS = tuple(m.removesuffix("_tail") for m in _ESTIMATORS)
 _CHECKS = ("v2", "parseval", "sn", "sawtooth_bound")
 
 

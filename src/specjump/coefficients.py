@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -52,34 +52,70 @@ class AccuracyError(RuntimeError):
     panel doubling, or two independent evaluation routes disagree."""
 
 
-@dataclass(frozen=True)
-class FourierSeries:
+def _frozen(name: str, values) -> np.ndarray:
+    """A read-only 1-D float64 copy of a real sequence; the caller's object
+    is left as it was."""
+    out = np.array(values, dtype=float)
+    if out.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D sequence of reals")
+    out.flags.writeable = False
+    return out
+
+
+class _Series:
+    """Equality, hashing and copying of both series classes.  Fields compare
+    elementwise, so -0.0 equals 0.0 and series of different lengths are
+    unequal; the hash reads only K and provenance, which equal series share."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in pairs)
+
+    def __hash__(self):
+        return hash((self.K, self.provenance))
+
+    def __reduce__(self):
+        # copies and pickles go through the constructor, which freezes again
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
+class FourierSeries(_Series):
     """Coefficients a_k, b_k of f ~ a0_half + sum a_k cos kx + b_k sin kx.
 
     a[0] is a_1 (there is no index-zero entry; the mean sits in a0_half).
-    provenance records how the numbers were produced.
+    a and b are read-only float64 arrays copied from any real sequence;
+    a0_half is a float.  provenance records how the numbers were produced.
     """
 
     K: int
     a0_half: float
-    a: tuple[float, ...]
-    b: tuple[float, ...]
+    a: np.ndarray
+    b: np.ndarray
     provenance: str = "unknown"
 
     def __post_init__(self):
+        object.__setattr__(self, "a0_half", float(self.a0_half))
+        object.__setattr__(self, "a", _frozen("a", self.a))
+        object.__setattr__(self, "b", _frozen("b", self.b))
         if len(self.a) != self.K or len(self.b) != self.K:
             raise ValueError(f"need exactly K={self.K} entries in a and b")
 
 
-@dataclass(frozen=True)
-class ChebyshevSeries:
-    """Coefficients c_k of f ~ sum c_k T_k(x) on [-1, 1]; c[0] is c_0."""
+@dataclass(frozen=True, eq=False)
+class ChebyshevSeries(_Series):
+    """Coefficients c_k of f ~ sum c_k T_k(x) on [-1, 1]; c[0] is c_0.
+
+    c is a read-only float64 array copied from any real sequence."""
 
     K: int
-    c: tuple[float, ...]
+    c: np.ndarray
     provenance: str = "unknown"
 
     def __post_init__(self):
+        object.__setattr__(self, "c", _frozen("c", self.c))
         if len(self.c) != self.K + 1:
             raise ValueError(f"need K+1={self.K + 1} entries in c")
 
@@ -199,7 +235,7 @@ def _closed_form_fourier(polys, edges, K: int) -> FourierSeries:
             acc_b += c * (_int_tm_sin(m, ks, hi) - _int_tm_sin(m, ks, lo))
         a[start:stop] = acc_a / half
         b[start:stop] = acc_b / half
-    return FourierSeries(K, a0_half, tuple(a.tolist()), tuple(b.tolist()), provenance="closed_form")
+    return FourierSeries(K, a0_half, a, b, provenance="closed_form")
 
 
 def _poly_to_cos_poly(p) -> list[float]:
@@ -246,7 +282,7 @@ def _closed_form_chebyshev(polys, edges, K: int) -> ChebyshevSeries:
             acc += coef * (_int_cos_cos(j, ks, hi) - _int_cos_cos(j, ks, lo))
         c[start:stop] = acc * (2.0 / math.pi)
     c[0] /= 2.0
-    return ChebyshevSeries(K, tuple(c.tolist()), provenance="closed_form")
+    return ChebyshevSeries(K, c, provenance="closed_form")
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +466,7 @@ def fourier_coefficients(f: PiecewiseFunction, K: int, quad: str = "auto") -> Fo
     a0_half, a, b = _doubled_quadrature(
         edges, list(enumerate(f.pieces, 1)), K, coefficients, "Fourier"
     )
-    return FourierSeries(
-        K, a0_half, tuple(a.tolist()), tuple(b.tolist()), provenance="quadrature"
-    )
+    return FourierSeries(K, a0_half, a, b, provenance="quadrature")
 
 
 def chebyshev_coefficients(f: PiecewiseFunction, K: int, quad: str = "auto") -> ChebyshevSeries:
@@ -462,7 +496,7 @@ def chebyshev_coefficients(f: PiecewiseFunction, K: int, quad: str = "auto") -> 
     (c,) = _doubled_quadrature(
         theta_edges, list(enumerate(f.pieces, 1))[::-1], K, coefficients, "Chebyshev", np.cos
     )
-    return ChebyshevSeries(K, tuple(c.tolist()), provenance="quadrature")
+    return ChebyshevSeries(K, c, provenance="quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +507,7 @@ def A_k(series: FourierSeries, x0: float, k: int) -> float:
     """Conjugate-phase coefficient a_k sin(k x0) - b_k cos(k x0)."""
     if not (1 <= k <= series.K):
         raise ValueError(f"k={k} outside stored range 1..{series.K}")
-    return series.a[k - 1] * math.sin(k * x0) - series.b[k - 1] * math.cos(k * x0)
+    return float(series.a[k - 1]) * math.sin(k * x0) - float(series.b[k - 1]) * math.cos(k * x0)
 
 
 def rho(series: FourierSeries, k: int) -> float:
@@ -503,8 +537,8 @@ def sawtooth_series(K: int) -> FourierSeries:
 
     This is (pi - x)/2 on (0, 2pi), jump +pi at x = 0.
     """
-    b = tuple(1.0 / k for k in range(1, K + 1))
-    return FourierSeries(K, 0.0, (0.0,) * K, b, provenance="closed_form")
+    b = 1.0 / np.arange(1, K + 1, dtype=float)
+    return FourierSeries(K, 0.0, np.zeros(K), b, provenance="closed_form")
 
 
 def jump_part_series(jumps: list[tuple[float, float]], K: int) -> FourierSeries:
@@ -520,7 +554,7 @@ def jump_part_series(jumps: list[tuple[float, float]], K: int) -> FourierSeries:
     for theta0, jump in jumps:
         a += -(jump / math.pi) * np.sin(ks * theta0) / ks
         b += (jump / math.pi) * np.cos(ks * theta0) / ks
-    return FourierSeries(K, 0.0, tuple(a.tolist()), tuple(b.tolist()), provenance="closed_form")
+    return FourierSeries(K, 0.0, a, b, provenance="closed_form")
 
 
 # ---------------------------------------------------------------------------
@@ -533,16 +567,16 @@ def series_to_json(series: FourierSeries | ChebyshevSeries) -> str:
         obj = {
             "kind": "fourier",
             "K": series.K,
-            "a0_half": float(series.a0_half),
-            "a": [float(v) for v in series.a],
-            "b": [float(v) for v in series.b],
+            "a0_half": series.a0_half,
+            "a": series.a.tolist(),
+            "b": series.b.tolist(),
             "provenance": series.provenance,
         }
     elif isinstance(series, ChebyshevSeries):
         obj = {
             "kind": "chebyshev",
             "K": series.K,
-            "c": [float(v) for v in series.c],
+            "c": series.c.tolist(),
             "provenance": series.provenance,
         }
     else:
@@ -550,13 +584,13 @@ def series_to_json(series: FourierSeries | ChebyshevSeries) -> str:
     return json.dumps(obj, indent=2)
 
 
-def _finite_floats(obj: dict, name: str, scalar: bool = False) -> tuple[float, ...]:
-    """Field name of a series JSON object as floats.  Only finite JSON
-    numbers are accepted: no strings, bools, nulls, NaN or Infinity."""
+def _finite_floats(obj: dict, name: str, scalar: bool = False) -> np.ndarray:
+    """Field name of a series JSON object as a float64 array.  Only finite
+    JSON numbers are accepted: no strings, bools, nulls, NaN or Infinity."""
     if name not in obj:
         raise ValueError(f"series JSON lacks the field {name!r}")
     values = [obj[name]] if scalar else obj[name]
-    if not isinstance(values, list) or not (kinds := set(map(type, values))) <= {int, float}:
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
         raise ValueError(f"series JSON field {name!r} must hold numbers only")
     try:
         finite = all(map(math.isfinite, values))
@@ -564,8 +598,7 @@ def _finite_floats(obj: dict, name: str, scalar: bool = False) -> tuple[float, .
         finite = False
     if not finite:
         raise ValueError(f"series JSON field {name!r} must hold finite numbers only")
-    # map(float) costs as much again as the checks; only ints need it
-    return tuple(values) if kinds == {float} else tuple(map(float, values))
+    return np.array(values, dtype=float)
 
 
 def series_from_json(text: str) -> FourierSeries | ChebyshevSeries:

@@ -129,7 +129,7 @@ def _tail(series, x0, r, n, cfg, what: str, conjugate: bool):
         raise ValueError("r must be a nonnegative integer")
     p = 2 * r + (0 if conjugate else 1)
     K = _resolve_K(series, n, cfg)
-    a, b = np.asarray(series.a[n - 1 : K]), np.asarray(series.b[n - 1 : K])
+    a, b = series.a[n - 1 : K], series.b[n - 1 : K]
     raw = _tail_sum(a, b, x0, n, p)
     value = raw if r % 2 == 0 else -raw
     if cfg is not None and cfg.remainder_bound is not None:
@@ -223,9 +223,7 @@ def v2_tail_diagnostic(series: FourierSeries, n_values: Sequence[int]) -> list[f
     for n in n_list:
         if not (1 <= n <= K):
             raise ValueError(f"n={n} outside stored range 1..{K}")
-    a = np.asarray(series.a)
-    b = np.asarray(series.b)
-    r2 = np.hypot(a, b) ** 2
+    r2 = np.hypot(series.a, series.b) ** 2
     tail = np.cumsum(r2[::-1])[::-1]
     out = [n * float(tail[n - 1]) for n in n_list]
     # discarded mass: sum_{k>K} rho_k^2 <= rho_K^2 K under rho ~ C/k decay
@@ -264,7 +262,7 @@ def parseval_increment_check(
     period = hi - lo
 
     ms = np.arange(1, series.K + 1, dtype=float)
-    amp = np.hypot(np.asarray(series.a), np.asarray(series.b))
+    amp = np.hypot(series.a, series.b)
     rhs = 4.0 * math.fsum((amp**2 * np.sin(ms * (h / 2.0)) ** 2).tolist())
     rhs += 2.0 * _window_sup(amp, series.K) ** 2 * series.K
 

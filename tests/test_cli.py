@@ -262,6 +262,47 @@ def test_coeffs_emits_series_json(capsys, saw_spec):
     assert obj["provenance"] == "closed_form"
 
 
+_READBACK_SPECS = {
+    "fourier": "domain [-pi, pi] periodic; piece x^2/4 - 1 on [-pi, 1); piece 2 - x on (1, pi]",
+    "chebyshev": "domain [-1, 1]; piece x^3 - x on [-1, 0.25); piece 1 + x/2 on (0.25, 1]",
+}
+
+
+@pytest.mark.parametrize(
+    "method, flags, basis, points",
+    [
+        ("integrated", ["--r", "0"], "fourier", "--points=-3.141592653589793,1.0"),
+        ("conjugate", ["--r", "1"], "fourier", "--points=-3.141592653589793,1.0"),
+        ("fejer", [], "fourier", "--points=-3.141592653589793,1.0"),
+        ("chebyshev", [], "chebyshev", "--points=0.25"),
+    ],
+)
+def test_detect_on_an_exported_series_gives_the_spec_estimates(
+    capsys, tmp_path, method, flags, basis, points
+):
+    spec = tmp_path / "f.spec"
+    spec.write_text(_READBACK_SPECS[basis] + "\n", encoding="utf-8")
+    exported = tmp_path / "series.json"
+    rc, _, _ = run_cli(
+        capsys, "--command", "coeffs", "--input", str(spec), "--basis", basis,
+        "--Kcap", "4096", "--out", str(exported),
+    )
+    assert rc == 0
+
+    def estimates(source):
+        rc, out, _ = run_cli(
+            capsys, "--command", "detect", "--input", source, "--method", method, points,
+            "--n-list", "32,64,128", "--Kcap", "4096", *flags,
+        )
+        assert rc == 0
+        # x, n, estimate; true_jump is unknown to a series file
+        return [line.split(",")[:3] for line in out.strip().splitlines()[1:]]
+
+    from_spec = estimates(str(spec))
+    assert len(from_spec) == 3 * len(points.split(","))  # three n per point
+    assert estimates(str(exported)) == from_spec
+
+
 def test_coeffs_default_cutoff(capsys, saw_spec):
     rc, out, err = run_cli(capsys, "--command", "coeffs", "--input", saw_spec)
     assert rc == 0

@@ -1,8 +1,10 @@
 """Fourier and Chebyshev coefficient computation, access helpers, and JSON."""
 
+import copy
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -48,6 +50,40 @@ def test_fourier_series_requires_matching_lengths():
 def test_chebyshev_series_requires_k_plus_one_entries():
     with pytest.raises(ValueError, match=r"need K\+1=4 entries"):
         ChebyshevSeries(3, (1.0, 2.0))
+
+
+def test_series_store_read_only_float64_copies():
+    src = np.array([1.0, -0.0, 2.5])
+    s = FourierSeries(3, np.float64(0.5), src, [1, 2, 3], provenance="synthetic")
+    c = ChebyshevSeries(2, (0.5, 1.0, -2.0))
+    for field in (s.a, s.b, c.c):
+        assert field.dtype == np.float64 and field.ndim == 1
+        with pytest.raises(ValueError, match="read-only"):
+            field[0] = 7.0
+    assert type(s.a0_half) is float
+    src[0] = 9.0  # the caller's array stays the caller's, and writable
+    assert s.a[0] == 1.0
+    assert s.b.tolist() == [1.0, 2.0, 3.0]
+    for t in (copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert t == s and not t.a.flags.writeable and not t.b.flags.writeable
+    with pytest.raises(ValueError, match="c must be a 1-D sequence"):
+        ChebyshevSeries(1, [[0.5], [1.0]])
+
+
+def test_series_equality_is_elementwise_and_hash_agrees():
+    s = FourierSeries(2, 0.0, (0.0, 1.0), (-0.0, 2.0), provenance="synthetic")
+    assert s == FourierSeries(2, -0.0, (-0.0, 1.0), (0.0, 2.0), provenance="synthetic")
+    assert s != FourierSeries(2, 0.0, (0.0, 1.0), (0.0, 2.5), provenance="synthetic")
+    assert s != FourierSeries(3, 0.0, (0.0, 1.0, 0.0), (0.0, 2.0, 0.0), provenance="synthetic")
+    assert s != FourierSeries(2, 0.0, (0.0, 1.0), (0.0, 2.0), provenance="closed_form")
+    c = ChebyshevSeries(1, (0.5, -0.0))
+    assert c == ChebyshevSeries(1, (0.5, 0.0))
+    assert c != ChebyshevSeries(2, (0.5, 0.0, 0.0))
+    assert c != s
+    for series in (s, c, sawtooth_series(50)):
+        back = series_from_json(series_to_json(series))
+        assert hash(back) == hash(series)
+        assert back in {series} and len({series, back}) == 1
 
 
 def test_fourier_coefficients_require_full_period_domain():
@@ -115,7 +151,7 @@ def test_quadrature_agrees_with_closed_form():
         c = fourier_coefficients(f, K, quad="closed_form")
         assert q.provenance == "quadrature"
         assert c.provenance == "closed_form"
-        for p, r in zip(q.a + q.b, c.a + c.b):
+        for p, r in zip(np.concatenate((q.a, q.b)), np.concatenate((c.a, c.b))):
             assert abs(p - r) <= 1e-11
         assert abs(q.a0_half - c.a0_half) <= 1e-11
 
@@ -210,7 +246,7 @@ f = sj.parse_function_spec(
     "piece x^3 - x^2 + cos(2*x) on (0, pi]"
 )
 q = fourier_coefficients(f, 160, quad="quadrature")
-print(np.array((q.a0_half,) + q.a + q.b).tobytes().hex())
+print(np.concatenate(([q.a0_half], q.a, q.b)).tobytes().hex())
 print(repr(sawtooth_tail_bound_check((5,))))
 """
 
@@ -368,13 +404,79 @@ def test_jump_part_series_combines_jumps_linearly():
         assert math.isclose(s.b[k], t1.b[k] + t2.b[k], rel_tol=0, abs_tol=1e-16)
 
 
+def _series_three_ways(basis):
+    """A closed-form series, a quadrature series and the quadrature series
+    read back from JSON, each on two pieces, by label."""
+    if basis == "fourier":
+        head, lo, bp, hi = "domain [-pi, pi] periodic", "-pi", 0.0, "pi"
+        build = fourier_coefficients
+    else:
+        head, lo, bp, hi = "domain [-1, 1]", -1, 0.3, 1
+        build = chebyshev_coefficients
+
+    def on_pieces(first, second):
+        return sj.parse_function_spec(
+            f"{head}; piece {first} on [{lo}, {bp}); piece {second} on ({bp}, {hi}]"
+        )
+
+    closed = build(on_pieces("x^2 - 1", "2 - x"), 256)
+    quad = build(on_pieces(*_SMOOTH_PIECES), 64)
+    assert (closed.provenance, quad.provenance) == ("closed_form", "quadrature")
+    back = series_from_json(series_to_json(quad))
+    return {"closed form": closed, "quadrature": quad, "JSON": back}
+
+
+def test_public_values_are_python_floats():
+    # a numpy scalar's repr is not a float literal, and the CLI writes repr
+    from specjump.chebyshev import ChebyshevTailConfig as Cfg
+
+    got = []  # (function, series label, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sj.PrecisionWarning)
+        for label, s in _series_three_ways("fourier").items():
+            got += [
+                ("A_k", label, A_k(s, 0.3, 5)),
+                ("rho", label, rho(s, 5)),
+                ("partial_sum", label, partial_sum(s, 0.3, 10)),
+                ("s_n_diagnostic", label, sj.s_n_diagnostic(s, 0.3, 10)),
+                ("integrated_tail", label, sj.integrated_tail(s, 0.3, 0, 10)),
+                ("conjugate_tail", label, sj.conjugate_tail(s, 0.3, 1, 10)),
+            ]
+            got += [("v2_tail_diagnostic", label, u) for u in sj.v2_tail_diagnostic(s, [1, 10])]
+            for e in (sj.fejer_jump(s, 0.3, 10), sj.cesaro_jump(s, 0.3, 0.5, 10)):
+                assert e.remainder_bound is None
+                got.append((e.method, label, e.value))
+            for jump, r in ((sj.jump_from_integrated, 0), (sj.jump_from_conjugate, 1)):
+                e = jump(s, 0.3, r, 10)
+                got += [(e.method, label, e.value), (e.method + " bound", label, e.remainder_bound)]
+        for label, s in _series_three_ways("chebyshev").items():
+            got.append(("chebyshev_tail", label, sj.chebyshev_tail(s, 0.5, Cfg(n=10))))
+            for n in (1, 10):
+                for path in ("x_domain", "theta_domain"):
+                    cfg = Cfg(n=n, path=path)
+                    tail = sj.integrated_chebyshev_tail(s, 0.5, cfg)
+                    e = sj.jump_from_chebyshev(s, 0.5, cfg)
+                    assert e.remainder_bound is None
+                    got.append((f"integrated_chebyshev_tail n={n} {path}", label, tail))
+                    got.append((f"jump_from_chebyshev n={n} {path}", label, e.value))
+    assert len(got) == 3 * 14 + 3 * 9
+    assert [(what, label, type(v).__name__) for what, label, v in got if type(v) is not float] == []
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
+def _assert_same_bits(s, t):
+    # == lets -0.0 pass for 0.0; the bytes and the sign of a0_half do not
+    assert t == s
+    assert t.a.tobytes() == s.a.tobytes() and t.b.tobytes() == s.b.tobytes()
+    assert math.copysign(1.0, t.a0_half) == math.copysign(1.0, s.a0_half)
+
+
 def test_fourier_json_round_trip_preserves_every_bit():
     s = FourierSeries(3, 0.25, (1.0, 5e-324, -0.0), (0.1, 2.5e298, 3.0), provenance="quadrature")
-    assert series_from_json(series_to_json(s)) == s
+    _assert_same_bits(s, series_from_json(series_to_json(s)))
 
 
 def test_chebyshev_json_round_trip():
@@ -402,4 +504,4 @@ def test_chebyshev_json_round_trip():
 def test_json_round_trip_on_arbitrary_floats(a, b, a0):
     k = min(len(a), len(b))
     s = FourierSeries(k, a0, tuple(a[:k]), tuple(b[:k]), provenance="synthetic")
-    assert series_from_json(series_to_json(s)) == s
+    _assert_same_bits(s, series_from_json(series_to_json(s)))
