@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 from .coefficients import AccuracyError, ChebyshevSeries
-from .tails import JumpEstimate, PrecisionWarning, _tail_sum, _window_sup
+from .tails import JumpEstimate, PrecisionWarning, _tail_sum, _window, _window_sup
 
 __all__ = [
     "ChebyshevTailConfig",
@@ -68,6 +67,19 @@ def _check_x(x: float) -> None:
         raise ValueError("x must lie strictly inside (-1, 1)")
 
 
+def _clenshaw(c: list, x: float) -> float:
+    """sum_k c[k] T_k(x) by the Clenshaw recurrence, for len(c) >= 2, on
+    Python floats: the operations of numpy's chebval, in its order, so the
+    result has its bits."""
+    x2 = 2 * x
+    rest = reversed(c)
+    c1 = next(rest)
+    c0 = next(rest)
+    for ck in rest:
+        c0, c1 = ck - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
 def chebyshev_tail(series: ChebyshevSeries, x: float, cfg: ChebyshevTailConfig) -> float:
     """sum_{k=n}^{K_cap} c_k T_k(x), evaluated by the Clenshaw recurrence.
 
@@ -77,11 +89,10 @@ def chebyshev_tail(series: ChebyshevSeries, x: float, cfg: ChebyshevTailConfig) 
     """
     _check_x(x)
     n, K = cfg.n, _resolve_K(series, cfg)
-    coeffs = np.zeros(K + 1)
-    coeffs[n:] = series.c[n : K + 1]
-    value = float(_cheb.chebval(x, coeffs))
+    tail = series.c[n : K + 1]
+    value = _clenshaw([0.0] * n + tail.tolist(), x)
     theta = math.acos(x)
-    bound = _window_sup(np.abs(coeffs[n:]), K) / max(abs(math.sin(theta / 2.0)), 1e-6)
+    bound = _window_sup(np.abs(_window(tail, K)), K) / max(abs(math.sin(theta / 2.0)), 1e-6)
     if bound > 0.01 * abs(value):
         warnings.warn(
             f"chebyshev_tail: truncation bound {bound:.3g} exceeds 1% of the "
@@ -114,7 +125,7 @@ def _integrated_x_domain(series: ChebyshevSeries, x: float, n: int, K: int) -> f
         ks = np.arange(m, K + 1, dtype=float)
         signs = np.where(np.arange(m, K + 1) % 2 == 0, 1.0, -1.0)
         const = math.fsum((-c[m : K + 1] * signs / (ks**2 - 1.0)).tolist())
-        value += float(_cheb.chebval(x, D)) + const
+        value += _clenshaw(D.tolist(), x) + const
     return value
 
 

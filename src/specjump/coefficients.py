@@ -45,6 +45,10 @@ __all__ = [
 
 _DOUBLING_TOL = 1e-12
 _MAX_DOUBLINGS = 8
+# Work bound: no panel rule gets more Gauss-Legendre nodes than this.  The
+# largest rule any test or benchmark plan uses has 262144 nodes; a cusp like
+# sqrt(abs(x)) at K = 4096 would double on to 16.8M nodes (21 s, 307 MB).
+_MAX_RULE_NODES = 1 << 22
 
 
 class AccuracyError(RuntimeError):
@@ -182,28 +186,23 @@ def _poly_eval(p, t):
     return acc
 
 
-def _int_tm_cos(m: int, ks: np.ndarray, t: float) -> np.ndarray:
-    """Antiderivative of t^m cos(kt) for m in 0..3, vectorized over k > 0."""
-    s, c = np.sin(ks * t), np.cos(ks * t)
+def _int_tm_trig(m: int, t: float, s, c, ks, k2, k3, k4) -> tuple:
+    """Antiderivatives of t^m cos(kt) and of t^m sin(kt) for m in 0..3,
+    vectorized over k > 0, from s = sin(k t), c = cos(k t) and the powers
+    k2, k3, k4 of ks."""
     if m == 0:
-        return s / ks
+        return s / ks, -c / ks
     if m == 1:
-        return t * s / ks + c / ks**2
+        return t * s / ks + c / k2, -t * c / ks + s / k2
     if m == 2:
-        return t**2 * s / ks + 2 * t * c / ks**2 - 2 * s / ks**3
-    return t**3 * s / ks + 3 * t**2 * c / ks**2 - 6 * t * s / ks**3 - 6 * c / ks**4
-
-
-def _int_tm_sin(m: int, ks: np.ndarray, t: float) -> np.ndarray:
-    """Antiderivative of t^m sin(kt) for m in 0..3, vectorized over k > 0."""
-    s, c = np.sin(ks * t), np.cos(ks * t)
-    if m == 0:
-        return -c / ks
-    if m == 1:
-        return -t * c / ks + s / ks**2
-    if m == 2:
-        return -(t**2) * c / ks + 2 * t * s / ks**2 + 2 * c / ks**3
-    return -(t**3) * c / ks + 3 * t**2 * s / ks**2 + 6 * t * c / ks**3 - 6 * s / ks**4
+        return (
+            t**2 * s / ks + 2 * t * c / k2 - 2 * s / k3,
+            -(t**2) * c / ks + 2 * t * s / k2 + 2 * c / k3,
+        )
+    return (
+        t**3 * s / ks + 3 * t**2 * c / k2 - 6 * t * s / k3 - 6 * c / k4,
+        -(t**3) * c / ks + 3 * t**2 * s / k2 + 6 * t * c / k3 - 6 * s / k4,
+    )
 
 
 _CF_CHUNK = 1 << 16
@@ -217,22 +216,29 @@ def _closed_form_fourier(polys, edges, K: int) -> FourierSeries:
         anti = [0.0] + [c / (m + 1) for m, c in enumerate(p)]
         mean_terms.append(_poly_eval(anti, hi) - _poly_eval(anti, lo))
     a0_half = math.fsum(mean_terms) / period
+    # (c, m, index of lo, index of hi): neighbouring pieces share an edge, so
+    # each chunk evaluates an antiderivative once per (m, edge) it uses
     terms = [
-        (c, m, lo, hi)
-        for p, (lo, hi) in zip(polys, zip(edges, edges[1:]))
+        (c, m, i, i + 1)
+        for i, p in enumerate(polys)
         for m, c in enumerate(p)
         if c != 0.0
     ]
+    uses = {(m, i) for _, m, lo, hi in terms for i in (lo, hi)}
     a = np.zeros(K)
     b = np.zeros(K)
     for start in range(0, K, _CF_CHUNK):
         stop = min(start + _CF_CHUNK, K)
         ks = np.arange(start + 1, stop + 1, dtype=float)
+        powers = (ks, ks**2, ks**3, ks**4)
+        trig = [(np.sin(ks * t), np.cos(ks * t)) for t in edges]
+        F = {(m, i): _int_tm_trig(m, edges[i], *trig[i], *powers) for m, i in uses}
         acc_a = np.zeros(len(ks))
         acc_b = np.zeros(len(ks))
         for c, m, lo, hi in terms:
-            acc_a += c * (_int_tm_cos(m, ks, hi) - _int_tm_cos(m, ks, lo))
-            acc_b += c * (_int_tm_sin(m, ks, hi) - _int_tm_sin(m, ks, lo))
+            (cos_hi, sin_hi), (cos_lo, sin_lo) = F[m, hi], F[m, lo]
+            acc_a += c * (cos_hi - cos_lo)
+            acc_b += c * (sin_hi - sin_lo)
         a[start:stop] = acc_a / half
         b[start:stop] = acc_b / half
     return FourierSeries(K, a0_half, a, b, provenance="closed_form")
@@ -267,19 +273,22 @@ def _closed_form_chebyshev(polys, edges, K: int) -> ChebyshevSeries:
     # theta-side breakpoints: theta = arccos(x), descending x maps to ascending theta
     thetas = [math.acos(max(-1.0, min(1.0, x))) for x in reversed(edges)]
     qs = [_poly_to_cos_poly(p) for p in reversed(polys)]
+    # (coef, j, index of lo, index of hi) into thetas, as in the Fourier case
     terms = [
-        (coef, j, lo, hi)
-        for q, (lo, hi) in zip(qs, zip(thetas, thetas[1:]))
+        (coef, j, i, i + 1)
+        for i, q in enumerate(qs)
         for j, coef in enumerate(q)
         if coef != 0.0
     ]
+    uses = {(j, i) for _, j, lo, hi in terms for i in (lo, hi)}
     c = np.zeros(K + 1)
     for start in range(0, K + 1, _CF_CHUNK):
         stop = min(start + _CF_CHUNK, K + 1)
         ks = np.arange(start, stop, dtype=float)
+        F = {(j, i): _int_cos_cos(j, ks, thetas[i]) for j, i in uses}
         acc = np.zeros(len(ks))
         for coef, j, lo, hi in terms:
-            acc += coef * (_int_cos_cos(j, ks, hi) - _int_cos_cos(j, ks, lo))
+            acc += coef * (F[j, hi] - F[j, lo])
         c[start:stop] = acc * (2.0 / math.pi)
     c[0] /= 2.0
     return ChebyshevSeries(K, c, provenance="closed_form")
@@ -421,7 +430,8 @@ def _doubled_quadrature(edges, pieces, K: int, coefficients, basis: str, x_of=No
     coefficients(S) turns the _panel_sums of one composite rule on edges into
     a tuple of coefficient arrays.  The panel counts start near 8 panels per
     period of cos(K t) and double until no entry moves by _DOUBLING_TOL or
-    more; at most _MAX_DOUBLINGS doublings, then AccuracyError.
+    more; at most _MAX_DOUBLINGS doublings, then AccuracyError.  A rule of
+    more than _MAX_RULE_NODES nodes raises AccuracyError before it is run.
     """
     base = [
         max(2, int(math.ceil(K * (hi - lo) / (2.0 * math.pi) * 2)))
@@ -429,8 +439,14 @@ def _doubled_quadrature(edges, pieces, K: int, coefficients, basis: str, x_of=No
     ]
     prev = None
     for attempt in range(_MAX_DOUBLINGS + 1):
-        mult = 2**attempt
-        cur = coefficients(_panel_sums(edges, pieces, K, [n * mult for n in base], x_of))
+        panels = [n * 2**attempt for n in base]
+        nodes = len(_GL_NODES) * sum(panels)
+        if nodes > _MAX_RULE_NODES:
+            raise AccuracyError(
+                f"{basis} quadrature stopped after {attempt} doublings: its next "
+                f"panel rule needs {nodes} nodes, more than the cap of {_MAX_RULE_NODES}"
+            )
+        cur = coefficients(_panel_sums(edges, pieces, K, panels, x_of))
         if prev is not None:
             delta = max(float(np.max(np.abs(c - p))) for c, p in zip(cur, prev))
             if delta < _DOUBLING_TOL:
@@ -561,27 +577,45 @@ def jump_part_series(jumps: list[tuple[float, float]], K: int) -> FourierSeries:
 # Serialization (bit-exact round trips via repr floats)
 # ---------------------------------------------------------------------------
 
+def _json_array(values: np.ndarray) -> str:
+    """values as json.dumps(..., indent=2) lays out a list one level down.
+
+    The list body comes from json's C encoder, which writes floats as the
+    indenting pure-Python encoder does (repr, NaN, Infinity); no float
+    text holds ", ", so splitting there puts one entry per line."""
+    if len(values) == 0:
+        return "[]"
+    body = json.dumps(values.tolist())[1:-1].replace(", ", ",\n    ")
+    return "[\n    " + body + "\n  ]"
+
+
 def series_to_json(series: FourierSeries | ChebyshevSeries) -> str:
-    """Serialize a series; json emits floats via repr, so every bit survives."""
+    """Serialize a series as json.dumps(obj, indent=2) would; json emits
+    floats via repr, so every bit survives."""
     if isinstance(series, FourierSeries):
         obj = {
             "kind": "fourier",
             "K": series.K,
             "a0_half": series.a0_half,
-            "a": series.a.tolist(),
-            "b": series.b.tolist(),
+            "a": series.a,
+            "b": series.b,
             "provenance": series.provenance,
         }
     elif isinstance(series, ChebyshevSeries):
         obj = {
             "kind": "chebyshev",
             "K": series.K,
-            "c": series.c.tolist(),
+            "c": series.c,
             "provenance": series.provenance,
         }
     else:
         raise TypeError(f"not a series: {type(series).__name__}")
-    return json.dumps(obj, indent=2)
+    items = (
+        f"  {json.dumps(key)}: "
+        + (_json_array(value) if isinstance(value, np.ndarray) else json.dumps(value))
+        for key, value in obj.items()
+    )
+    return "{\n" + ",\n".join(items) + "\n}"
 
 
 def _finite_floats(obj: dict, name: str, scalar: bool = False) -> np.ndarray:

@@ -106,13 +106,19 @@ def _tail_sum(a: np.ndarray, b: Optional[np.ndarray], x0: float, n: int, power: 
     return math.fsum((A / ks**power).tolist())
 
 
+def _window(values: np.ndarray, K: int) -> np.ndarray:
+    """The last max(10, K // 100) entries of values (all of them if fewer):
+    the window near the cutoff K that _window_sup reads."""
+    return values[len(values) - min(len(values), max(10, K // 100)) :]
+
+
 def _window_sup(amp: np.ndarray, K: int) -> float:
-    """Windowed sup of amp_k k / K over the last max(10, K // 100) entries of
-    amp, which ends at k = K: the scale rho* of the bounded-variation decay
-    model amp_k <= rho* K / k used beyond the cutoff."""
-    w = min(len(amp), max(10, K // 100))
-    ks = np.arange(K - w + 1, K + 1, dtype=float)
-    return float(np.max(amp[len(amp) - w :] * ks)) / K
+    """Windowed sup of amp_k k / K over _window(amp, K), where amp ends at
+    k = K: the scale rho* of the bounded-variation decay model
+    amp_k <= rho* K / k used beyond the cutoff."""
+    amp = _window(amp, K)
+    ks = np.arange(K - len(amp) + 1, K + 1, dtype=float)
+    return float(np.max(amp * ks)) / K
 
 
 def _tail(series, x0, r, n, cfg, what: str, conjugate: bool):
@@ -136,7 +142,8 @@ def _tail(series, x0, r, n, cfg, what: str, conjugate: bool):
         bound = cfg.remainder_bound
     else:
         # sum_{k>K} rho* K / k^(p+1) <= rho* / (p K^(p-1))
-        bound = _window_sup(np.hypot(a, b), K) / (p * float(K) ** (p - 1))
+        amp = np.hypot(_window(a, K), _window(b, K))
+        bound = _window_sup(amp, K) / (p * float(K) ** (p - 1))
     if bound > 0.01 * abs(value):
         warnings.warn(
             f"{what}: truncation remainder bound {bound:.3g} exceeds 1% of "

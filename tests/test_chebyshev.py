@@ -5,11 +5,15 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specjump as sj
 from specjump.chebyshev import (
     ChebyshevTailConfig,
+    _clenshaw,
     chebyshev_tail,
     integrated_chebyshev_tail,
     jump_from_chebyshev,
@@ -78,6 +82,19 @@ def test_tail_at_cos_theta_matches_the_cosine_sum():
                 )
             worst = max(worst, abs(got - direct))
     assert worst <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=64),
+    st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_clenshaw_has_the_bits_of_numpy_chebval(c, x):
+    # numpy's chebval is what the tails evaluated with before the float loop;
+    # hex tells -0.0 from 0.0
+    with np.errstate(all="ignore"):  # overflow to inf and nan is compared too
+        want = float(np.polynomial.chebyshev.chebval(x, np.array(c)))
+    assert _clenshaw(c, x).hex() == want.hex()
 
 
 def test_sign_tail_pin():

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import specjump
 from specjump.cli import main
 from specjump.coefficients import FourierSeries, series_to_json
 
@@ -204,6 +208,28 @@ def test_non_finite_integrand_exits_1_at_the_first_panel_rule(capsys, tmp_path, 
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert f"{piece} is not finite" in lines[0]
+
+
+def test_cusp_hits_the_quadrature_work_bound_and_exits_1_in_time(tmp_path):
+    # panel doubling converges only algebraically across the cusp of
+    # sqrt(|x|); the per-rule node cap stops it after about 5 s (it used to
+    # double on for 21 s and 307 MB).  A child process, so the time box can
+    # kill a run that does not stop.
+    p = tmp_path / "cusp.spec"
+    p.write_text("domain [-pi, pi] periodic; piece sqrt(abs(x))\n", encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(specjump.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = "import sys; from specjump.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", run, "--command", "detect", "--input", str(p),
+         "--method", "integrated", "--nmax", "100", "--points=1.0"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "more than the cap of 4194304" in lines[0]
 
 
 # ---------------------------------------------------------------------------

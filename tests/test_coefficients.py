@@ -20,6 +20,10 @@ from scipy.integrate import IntegrationWarning, quad
 import specjump as sj
 from specjump.coefficients import (
     A_k,
+    _CF_CHUNK,
+    _closed_form_chebyshev,
+    _closed_form_fourier,
+    _int_cos_cos,
     _phase,
     ChebyshevSeries,
     FourierSeries,
@@ -298,6 +302,98 @@ def test_parseval_identity_on_linear_ramp():
     assert 0.0 < lhs - rhs <= 4.0 / K * 1.05
 
 
+# The per-term closed forms as they were before the antiderivatives were
+# shared between the terms of a chunk: the reference for bit equality.
+
+def _reference_int_tm_cos(m, ks, t):
+    s, c = np.sin(ks * t), np.cos(ks * t)
+    if m == 0:
+        return s / ks
+    if m == 1:
+        return t * s / ks + c / ks**2
+    if m == 2:
+        return t**2 * s / ks + 2 * t * c / ks**2 - 2 * s / ks**3
+    return t**3 * s / ks + 3 * t**2 * c / ks**2 - 6 * t * s / ks**3 - 6 * c / ks**4
+
+
+def _reference_int_tm_sin(m, ks, t):
+    s, c = np.sin(ks * t), np.cos(ks * t)
+    if m == 0:
+        return -c / ks
+    if m == 1:
+        return -t * c / ks + s / ks**2
+    if m == 2:
+        return -(t**2) * c / ks + 2 * t * s / ks**2 + 2 * c / ks**3
+    return -(t**3) * c / ks + 3 * t**2 * s / ks**2 + 6 * t * c / ks**3 - 6 * s / ks**4
+
+
+def _reference_fourier(polys, edges, K):
+    terms = [
+        (c, m, lo, hi)
+        for p, (lo, hi) in zip(polys, zip(edges, edges[1:]))
+        for m, c in enumerate(p)
+        if c != 0.0
+    ]
+    half = (edges[-1] - edges[0]) / 2.0
+    a, b = np.zeros(K), np.zeros(K)
+    for start in range(0, K, _CF_CHUNK):
+        stop = min(start + _CF_CHUNK, K)
+        ks = np.arange(start + 1, stop + 1, dtype=float)
+        acc_a, acc_b = np.zeros(len(ks)), np.zeros(len(ks))
+        for c, m, lo, hi in terms:
+            acc_a += c * (_reference_int_tm_cos(m, ks, hi) - _reference_int_tm_cos(m, ks, lo))
+            acc_b += c * (_reference_int_tm_sin(m, ks, hi) - _reference_int_tm_sin(m, ks, lo))
+        a[start:stop] = acc_a / half
+        b[start:stop] = acc_b / half
+    return a, b
+
+
+def _reference_chebyshev(polys, edges, K):
+    thetas = [math.acos(max(-1.0, min(1.0, x))) for x in reversed(edges)]
+    qs = [sj.coefficients._poly_to_cos_poly(p) for p in reversed(polys)]
+    terms = [
+        (coef, j, lo, hi)
+        for q, (lo, hi) in zip(qs, zip(thetas, thetas[1:]))
+        for j, coef in enumerate(q)
+        if coef != 0.0
+    ]
+    c = np.zeros(K + 1)
+    for start in range(0, K + 1, _CF_CHUNK):
+        stop = min(start + _CF_CHUNK, K + 1)
+        ks = np.arange(start, stop, dtype=float)
+        acc = np.zeros(len(ks))
+        for coef, j, lo, hi in terms:
+            acc += coef * (_int_cos_cos(j, ks, hi) - _int_cos_cos(j, ks, lo))
+        c[start:stop] = acc * (2.0 / math.pi)
+    c[0] /= 2.0
+    return c
+
+
+def _random_cubics(rng, lo, hi):
+    """Four pieces on [lo, hi], each a cubic with some coefficients zero."""
+    edges = [lo] + sorted(rng.uniform(lo, hi) for _ in range(3)) + [hi]
+    polys = [
+        [0.0 if rng.random() < 0.25 else rng.uniform(-2.0, 2.0) for _ in range(rng.randint(1, 4))]
+        for _ in range(4)
+    ]
+    return polys, edges
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_closed_forms_have_the_bits_of_the_per_term_formulas(seed):
+    # K = 2^16 + 3 crosses a chunk boundary, and k = 0, 1, 2, 3 hit the
+    # k = j branch of the Chebyshev antiderivative
+    rng = random.Random(seed)
+    K = _CF_CHUNK + 3
+    polys, edges = _random_cubics(rng, -math.pi, math.pi)
+    s = _closed_form_fourier(polys, edges, K)
+    a, b = _reference_fourier(polys, edges, K)
+    assert s.a.tobytes() == a.tobytes() and s.b.tobytes() == b.tobytes()
+    polys, edges = _random_cubics(rng, -1.0, 1.0)
+    c = _closed_form_chebyshev(polys, edges, K).c
+    assert c.tobytes() == _reference_chebyshev(polys, edges, K).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Chebyshev coefficients
 # ---------------------------------------------------------------------------
@@ -485,6 +581,31 @@ def test_chebyshev_json_round_trip():
     assert obj["kind"] == "chebyshev"
     assert obj["provenance"] == "closed_form"
     assert series_from_json(series_to_json(s)) == s
+
+
+_ODD_FLOATS = (-0.0, 5e-324, float("nan"), float("inf"), float("-inf"), 0.1, -1.5e300)
+
+
+@pytest.mark.parametrize(
+    "series",
+    [
+        FourierSeries(len(_ODD_FLOATS), -0.0, _ODD_FLOATS, _ODD_FLOATS[::-1]),
+        FourierSeries(0, float("nan"), (), ()),
+        ChebyshevSeries(len(_ODD_FLOATS) - 1, _ODD_FLOATS, provenance='a "quoted" \u00e9'),
+        ChebyshevSeries(0, (5e-324,)),
+    ],
+    ids=["fourier", "fourier-K0", "chebyshev", "chebyshev-K0"],
+)
+def test_series_json_has_the_bytes_of_indented_json_dumps(series):
+    # json.dumps(obj, indent=2) is what the writer wrote before it built the
+    # list bodies with json's C encoder
+    if isinstance(series, FourierSeries):
+        obj = {"kind": "fourier", "K": series.K, "a0_half": series.a0_half,
+               "a": series.a.tolist(), "b": series.b.tolist(), "provenance": series.provenance}
+    else:
+        obj = {"kind": "chebyshev", "K": series.K, "c": series.c.tolist(),
+               "provenance": series.provenance}
+    assert series_to_json(series) == json.dumps(obj, indent=2)
 
 
 @settings(max_examples=100, deadline=None)
