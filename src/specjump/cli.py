@@ -164,7 +164,7 @@ def _series_for(config: RunConfig, f, series, basis: str, nmax: int):
 def _eval_points(config: RunConfig, f, series, basis: str) -> list[float]:
     if config.points:
         pts = sorted(set(config.points))
-    elif config.grid:
+    elif config.grid is not None:
         if config.grid < 2:
             raise _ValidationError("--grid must be >= 2")
         if f is not None:
@@ -419,8 +419,13 @@ def _csv_text(headers, rows, comments: Optional[list[str]] = None) -> str:
     return buf.getvalue()
 
 
+def _json_cell(v):
+    # JSON has no NaN or infinity; a non-finite cell is null
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _json_text(headers, rows) -> str:
-    obj = {"columns": list(headers), "rows": [list(row) for row in rows]}
+    obj = {"columns": list(headers), "rows": [[_json_cell(v) for v in row] for row in rows]}
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -475,34 +480,43 @@ def run(config: RunConfig) -> int:
     return 0
 
 
+def _list(text: str, kind) -> list:
+    values = [kind(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("expected a comma-separated list, got an empty one")
+    return values
+
+
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return _list(text, float)
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    return _list(text, int)
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # RunConfig holds every default: a flag not given stays out of the namespace
     p = argparse.ArgumentParser(
         prog="specjump",
         description="Jump detection and variation analysis from coefficient data.",
+        argument_default=argparse.SUPPRESS,
     )
     p.add_argument("--input", help="function-spec file or series JSON file")
     p.add_argument("--command", required=True, choices=_COMMANDS)
-    p.add_argument("--method", default="fejer", choices=_METHODS)
-    p.add_argument("--basis", default="auto", choices=("auto", "fourier", "chebyshev"))
-    p.add_argument("--r", type=int, default=None, help="integration order")
-    p.add_argument("--alpha", type=float, default=1.0, help="Cesaro order")
-    p.add_argument("--n0", type=int, default=25, help="n-schedule start")
-    p.add_argument("--nmax", type=int, default=400, help="n-schedule cap (doubling)")
+    p.add_argument("--method", choices=_METHODS)
+    p.add_argument("--basis", choices=("auto", "fourier", "chebyshev"))
+    p.add_argument("--r", type=int, help="integration order")
+    p.add_argument("--alpha", type=float, help="Cesaro order")
+    p.add_argument("--n0", type=int, help="n-schedule start")
+    p.add_argument("--nmax", type=int, help="n-schedule cap (doubling)")
     p.add_argument("--points", type=_float_list, help="comma-separated x values")
     p.add_argument("--grid", type=int, help="uniform x-grid size")
     p.add_argument("--Kcap", type=int, dest="K_cap", help="coefficient cutoff")
     p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", default="csv", choices=("csv", "json"), dest="fmt")
+    p.add_argument("--format", choices=("csv", "json"), dest="fmt")
     p.add_argument("--strict", action="store_true", help="precision warnings exit 2")
-    p.add_argument("--check", default="v2", choices=_CHECKS, help="diagnose selector")
+    p.add_argument("--check", choices=_CHECKS, help="diagnose selector")
     p.add_argument("--n-list", type=_int_list, dest="n_list", help="explicit n values")
     p.add_argument("--densities", type=_int_list, help="variation grid densities")
     return p
@@ -521,3 +535,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -225,9 +225,46 @@ def test_jump_of_a_smooth_function_is_negligible():
 def test_sawtooth_tail_bound_stays_order_one():
     vals = sawtooth_tail_bound_check((1, 10, 100, 1000))
     assert vals == [
-        1.6449240668982277,
-        1.0515633573168564,
-        1.0040166713333412,
-        0.9955001791666119,
+        1.6449240668982266,
+        1.051563357316856,
+        1.0040166713333405,
+        0.9955001791666124,
     ]
     assert all(0.5 <= v <= 2.0 for v in vals)
+
+
+def _sawtooth_sup_by_blocks(n):
+    """The check's sup summed directly: cos(k theta) over 512-wide blocks of
+    k from cos/sin tables on the grid, cos((k0+j) t) = cos(k0 t) cos(j t) -
+    sin(k0 t) sin(j t), accumulated by einsum.  O(K M) work."""
+    thetas = np.linspace(0.0, math.pi, 4096)
+    js = np.arange(512, dtype=float)
+    cos_j = np.cos(np.outer(thetas, js))
+    sin_j = np.sin(np.outer(thetas, js))
+    K = max(10**5, 200 * n)
+    total = np.zeros(thetas.size)
+    for k0 in range(n, K + 1, 512):
+        width = min(512, K + 1 - k0)
+        w = 1.0 / np.arange(k0, k0 + width, dtype=float) ** 2
+        total += np.cos(k0 * thetas) * np.einsum("ij,j->i", cos_j[:, :width], w)
+        total -= np.sin(k0 * thetas) * np.einsum("ij,j->i", sin_j[:, :width], w)
+    return float(n * np.max(np.abs(total)))
+
+
+def test_sawtooth_tail_bound_fold_matches_the_direct_block_sum():
+    ns = (1, 5, 10, 100, 1000)
+    for n, v in zip(ns, sawtooth_tail_bound_check(ns)):
+        ref = _sawtooth_sup_by_blocks(n)
+        assert abs(v - ref) <= 1e-14 * ref, (n, v, ref)
+
+
+def test_sawtooth_tail_bound_at_n_1_is_the_basel_partial_sum():
+    # at n = 1 the sup sits at theta = 0, where every cosine is 1
+    exact = math.fsum(1.0 / k**2 for k in range(1, 10**5 + 1))
+    (v,) = sawtooth_tail_bound_check((1,))
+    assert abs(v - exact) <= 1e-15 * exact
+
+
+def test_sawtooth_tail_bound_rejects_n_below_1():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        sawtooth_tail_bound_check((10, 0))

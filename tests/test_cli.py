@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import specjump
+from specjump import cli
 from specjump.cli import main
 from specjump.coefficients import FourierSeries, series_to_json
 
@@ -125,6 +126,22 @@ def test_malformed_n_list_is_a_usage_error(capsys, saw_spec):
         "--command", "detect", "--input", saw_spec, "--n-list", "10,abc",
     )
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("detect", "--grid=0"),
+        ("detect", "--points="),
+        ("detect", "--n-list="),
+        ("variation", "--densities="),
+    ],
+)
+def test_a_zero_or_empty_flag_is_an_error_not_a_default(capsys, saw_spec, command, flag):
+    rc, out, err = run_cli(capsys, "--command", command, "--input", saw_spec, flag)
+    assert rc == 1
+    assert out == ""
+    assert "error:" in err
 
 
 _SERIES = '{"kind": "fourier", "K": 2, "a0_half": 0.0, "a": [0.0, 0.0], "b": [1.0, B]}'
@@ -408,7 +425,7 @@ def test_diagnose_sawtooth_bound(capsys, saw_spec):
     assert rc == 0
     lines = out.strip().splitlines()
     assert lines[0] == "n,sup_n_times_tail"
-    assert lines[1] == "5,1.1065647789355761"
+    assert lines[1] == "5,1.1065647789355757"
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +454,63 @@ def test_json_format_mirrors_the_csv_columns(capsys, saw_spec):
     assert sorted(obj) == ["columns", "rows"]
     assert obj["columns"] == ["x", "n", "estimate", "true_jump", "abs_error"]
     assert len(obj["rows"]) == 10
+
+
+@pytest.mark.parametrize(
+    "command, method, columns",
+    [
+        ("detect", "fejer", ["x", "n", "estimate", "true_jump", "abs_error"]),
+        ("table", "integrated", ["n", "r", "method", "estimate", "true_jump",
+                                 "abs_error", "remainder_bound"]),
+    ],
+)
+def test_json_format_writes_null_for_an_unknown_true_jump(
+    capsys, divergent_json, command, method, columns
+):
+    argv = ("--command", command, "--input", divergent_json, "--method", method,
+            "--points=1.0", "--n-list", "16,32")
+
+    def no_constants(name):
+        raise AssertionError(f"invalid JSON token {name}")
+
+    rc, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert rc == 0
+    obj = json.loads(out, parse_constant=no_constants)
+    assert obj["columns"] == columns
+    truth, error = columns.index("true_jump"), columns.index("abs_error")
+    assert [(row[truth], row[error]) for row in obj["rows"]] == [(None, None)] * 2
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert all(line.split(",")[truth:error + 1] == ["nan", "nan"]
+               for line in out.strip().splitlines()[1:])
+
+
+def test_flag_defaults_are_the_run_config_defaults(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)
+    assert main(["--command", "detect"]) == 0
+    assert seen == [cli.RunConfig("detect")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--command", "detect", "--input", "SAW", "--nmax", "50"),
+        ("--command", "detect"),
+    ],
+)
+def test_python_m_specjump_cli_runs_main(capsys, saw_spec, argv):
+    argv = [saw_spec if a == "SAW" else a for a in argv]
+    rc, out, err = run_cli(capsys, *argv)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(specjump.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "specjump.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (rc, out)
+    assert proc.stderr.endswith(err)  # after runpy's RuntimeWarning
 
 
 def test_usage_exit_codes(capsys, saw_spec):
