@@ -69,8 +69,6 @@ from .chebyshev import (
     jump_from_chebyshev,
     sawtooth_tail_bound_check,
 )
-from .cli import RunConfig, run, sample_for_variation
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -132,3 +130,13 @@ __all__ = [
     "true_jump",
     "v2_tail_diagnostic",
 ]
+
+
+def __getattr__(name):
+    # The CLI names load on first use, so importing the package does not import
+    # .cli and `python -m specjump.cli` runs a single copy of that module.
+    if name in ("RunConfig", "run", "sample_for_variation"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -108,7 +108,7 @@ def _load(config: RunConfig):
 
 
 def _n_schedule(config: RunConfig) -> list[int]:
-    if config.n_list:
+    if config.n_list is not None:
         ns = list(config.n_list)
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise _ValidationError("--n-list must be strictly increasing")
@@ -162,7 +162,7 @@ def _series_for(config: RunConfig, f, series, basis: str, nmax: int):
 
 
 def _eval_points(config: RunConfig, f, series, basis: str) -> list[float]:
-    if config.points:
+    if config.points is not None:
         pts = sorted(set(config.points))
     elif config.grid is not None:
         if config.grid < 2:
@@ -338,7 +338,7 @@ def _cmd_variation(config: RunConfig) -> str:
     f, series_in = _load(config)
     if f is None:
         raise _ValidationError("variation analysis needs a function spec, not a series")
-    densities = config.densities or [8, 16, 32, 64]
+    densities = config.densities if config.densities is not None else [8, 16, 32, 64]
     if any(d < 2 for d in densities):
         raise _ValidationError("densities must be >= 2")
     reports = []
@@ -368,12 +368,11 @@ def _cmd_variation(config: RunConfig) -> str:
 
 
 def _cmd_diagnose(config: RunConfig) -> str:
+    ns = config.n_list if config.n_list is not None else [10, 100, 1000]
     if config.check == "sawtooth_bound":
-        ns = config.n_list or [10, 100, 1000]
         sups = chebmod.sawtooth_tail_bound_check(ns)
         return _table_text(config, ("n", "sup_n_times_tail"), list(zip(ns, sups)))
     f, series_in = _load(config)
-    ns = config.n_list or [10, 100, 1000]
     if config.check == "v2":
         series = _series_for(config, f, series_in, "fourier", max(ns))
         u = v2_tail_diagnostic(series, ns)
@@ -382,7 +381,7 @@ def _cmd_diagnose(config: RunConfig) -> str:
         series = _series_for(config, f, series_in, "fourier", max(ns))
         rows = []
         for n in ns:
-            s = s_n_diagnostic(series, 0.0 if not config.points else config.points[0], n)
+            s = s_n_diagnostic(series, 0.0 if config.points is None else config.points[0], n)
             rows.append((n, s, math.pi * s))
         return _table_text(config, ("n", "s_n", "pi_s_n"), rows)
     # parseval
@@ -454,6 +453,12 @@ def run(config: RunConfig) -> int:
     if config.method not in _METHODS:
         print(f"error: unknown method {config.method!r}", file=sys.stderr)
         return 1
+    # None means not given; an empty list is an error, as it is on the command line
+    for flag, values in (("--points", config.points), ("--n-list", config.n_list),
+                         ("--densities", config.densities)):
+        if values is not None and not values:
+            print(f"error: {flag} is an empty list", file=sys.stderr)
+            return 1
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:

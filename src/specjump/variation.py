@@ -272,6 +272,52 @@ def _weighted(osc, W: list[float]) -> float:
     return math.fsum(o * w for o, w in zip(sorted(osc, reverse=True), W))
 
 
+# largest W x oscs table the Lambda search builds (8 MiB of float64)
+_REST_CAP = 1 << 20
+
+
+def _pruned(
+    acc: float, limit: float, q: int, i: int, W: list[float], oscs: list[float],
+    rest: Optional[memoryview],
+) -> bool:
+    """Whether the search's rank bound at node (i, q) is <= limit: acc plus
+    W[q + r] * oscs[i + r] for r = 0, 1, ..., summed in order up to a
+    negligible term.  Candidates are sorted descending, so rank weights apply
+    in order."""
+    if rest is not None:
+        # The table sums the same float products, all >= 0 and at most 2^20
+        # of them: its rounding differs from the in-order sum's by under 3e-10
+        # relative, and the terms that sum drops as negligible add up to at
+        # most 1.1e-10 max(limit, 1).  Outside this band the table decides.
+        est = acc + rest[q * len(oscs) + i]
+        band = 1e-9 * (est if est > 1.0 else 1.0)
+        if est + band <= limit:
+            return True
+        if est - band > limit:
+            return False
+    bound = acc
+    for r in range(min(len(W) - q, len(oscs) - i)):
+        t = W[q + r] * oscs[i + r]
+        bound += t
+        # every term is >= 0: once past limit the sum stays past it
+        if bound > limit:
+            return False
+        if t < 1e-16 * (bound if bound > 1.0 else 1.0):
+            break
+    return bound <= limit
+
+
+def _rest_table(W: list[float], oscs: list[float]) -> Optional[memoryview]:
+    """rest[q * len(oscs) + i]: every term of the rank bound at node (i, q),
+    summed from the far end; None above _REST_CAP entries."""
+    if len(W) * len(oscs) > _REST_CAP:
+        return None
+    tab = np.outer(W, oscs)
+    for q in range(len(W) - 2, -1, -1):
+        tab[q, :-1] += tab[q + 1, 1:]
+    return memoryview(tab.ravel())
+
+
 def lambda_variation(
     s,
     lam,
@@ -308,16 +354,22 @@ def lambda_variation(
     nu, fams = _maxsum_table(v, t_seed, backtrack=True)
     best = max([0.0] + [_weighted(osc, W) for osc in fams])
 
+    # Interval (a, b) covers the unit steps a..b-1; two intervals have
+    # disjoint interiors exactly when their step masks do not meet.
+    masks = [((1 << (b - a)) - 1) << a for _, a, b in cands]
+    rest = _rest_table(W, oscs)
+
     # Depth-first search, taking candidate i before skipping it.  A node is
-    # (i, q, acc): next candidate, intervals chosen, their weighted sum; the
-    # inner loop walks down the take branches and stacks the skip branches.
+    # (i, q, acc, used): next candidate, intervals chosen, their weighted sum
+    # and the union of their masks; the inner loop walks down the take
+    # branches and stacks the skip branches.
     chosen: list[tuple[int, int]] = []
-    stack = [(0, 0, 0.0)]
+    stack = [(0, 0, 0.0, 0)]
     nodes = 0
     complete = True
     slack = 1e-12
     while stack and complete:
-        i, q, acc = stack.pop()
+        i, q, acc, used = stack.pop()
         del chosen[q:]
         while True:
             nodes += 1
@@ -328,25 +380,15 @@ def lambda_variation(
                 best = max(best, _weighted((abs(v[b] - v[a]) for a, b in chosen), W))
             if i >= ncand or q >= mcap:
                 break
-            # candidates are sorted descending, so rank weights apply in order
-            bound = acc
-            r = 0
-            while q + r < mcap and i + r < ncand:
-                t = W[q + r] * oscs[i + r]
-                bound += t
-                r += 1
-                if t < 1e-16 * max(bound, 1.0):
-                    break
-            if bound <= best + slack:
+            if _pruned(acc, best + slack, q, i, W, oscs, rest):
                 break
-            o, a, b = cands[i]
-            for x, y in chosen:
-                if a < y and x < b:
-                    i += 1
-                    break
+            if used & masks[i]:
+                i += 1
             else:
-                stack.append((i + 1, q, acc))
+                o, a, b = cands[i]
+                stack.append((i + 1, q, acc, used))
                 chosen.append((a, b))
+                used |= masks[i]
                 i, q, acc = i + 1, q + 1, acc + o * W[q]
 
     if not complete:

@@ -144,6 +144,29 @@ def test_a_zero_or_empty_flag_is_an_error_not_a_default(capsys, saw_spec, comman
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "command, field, flag",
+    [
+        ("detect", "n_list", "--n-list"),
+        ("detect", "points", "--points"),
+        ("table", "points", "--points"),
+        ("variation", "densities", "--densities"),
+        ("diagnose", "n_list", "--n-list"),
+        ("diagnose", "points", "--points"),
+    ],
+)
+def test_an_empty_list_through_run_is_an_error_not_a_default(
+    capsys, saw_spec, command, field, flag
+):
+    config = specjump.RunConfig(command, input=saw_spec, **{field: []})
+    if command == "diagnose":
+        config.check = "sn"
+    assert specjump.run(config) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {flag} is an empty list\n"
+
+
 _SERIES = '{"kind": "fourier", "K": 2, "a0_half": 0.0, "a": [0.0, 0.0], "b": [1.0, B]}'
 
 
@@ -509,8 +532,22 @@ def test_python_m_specjump_cli_runs_main(capsys, saw_spec, argv):
         [sys.executable, "-m", "specjump.cli", *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
-    assert (proc.returncode, proc.stdout) == (rc, out)
-    assert proc.stderr.endswith(err)  # after runpy's RuntimeWarning
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, err)
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_importing_the_package_leaves_the_cli_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(specjump.__file__)))
+    code = (
+        "import sys, specjump; loaded = 'specjump.cli' in sys.modules; "
+        "run = specjump.run; print(loaded, 'specjump.cli' in sys.modules, "
+        "run is sys.modules['specjump.cli'].run)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False True True\n", "")
 
 
 def test_usage_exit_codes(capsys, saw_spec):

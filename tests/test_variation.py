@@ -4,12 +4,14 @@ the interval-family searcher, and the growth classifier."""
 import math
 import random
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import specjump as sj
+from specjump import variation as var
 from specjump.cli import sample_for_variation
 from specjump.tails import PrecisionWarning
 from specjump.variation import (
@@ -205,6 +207,165 @@ def test_lambda_variation_pins_budget_bound_searches_on_a_chirp():
             f"variation search hit the node budget ({budget}); {tail}"
         ]
         assert caught[0].category is PrecisionWarning
+
+
+def _lambda_variation_by_scan(s, lam, node_budget=200_000):
+    """The Lambda search written plainly, the reference for its bit masks and
+    suffix table: at every node an O(q) scan of the chosen intervals for
+    overlap and the whole rank bound, summed term by term."""
+    v = var._reduce_extrema(var._values(s))
+    n = len(v)
+    if n < 2:
+        return 0.0
+    cands = var._candidates_undominated(v)
+    ncand = len(cands)
+    if ncand == 0:
+        return 0.0
+    mcap = min(ncand, n - 1)
+    W = lam.weights(mcap)
+    oscs = [c[0] for c in cands]
+    t_seed = min(mcap, 64)
+    nu, fams = var._maxsum_table(v, t_seed, backtrack=True)
+    best = max([0.0] + [var._weighted(osc, W) for osc in fams])
+    chosen = []
+    stack = [(0, 0, 0.0)]
+    nodes = 0
+    complete = True
+    slack = 1e-12
+    while stack and complete:
+        i, q, acc = stack.pop()
+        del chosen[q:]
+        while True:
+            nodes += 1
+            if nodes > node_budget:
+                complete = False
+                break
+            if acc > best:
+                best = max(best, var._weighted((abs(v[b] - v[a]) for a, b in chosen), W))
+            if i >= ncand or q >= mcap:
+                break
+            bound = acc
+            r = 0
+            while q + r < mcap and i + r < ncand:
+                t = W[q + r] * oscs[i + r]
+                bound += t
+                r += 1
+                if t < 1e-16 * max(bound, 1.0):
+                    break
+            if bound <= best + slack:
+                break
+            o, a, b = cands[i]
+            for x, y in chosen:
+                if a < y and x < b:
+                    i += 1
+                    break
+            else:
+                stack.append((i + 1, q, acc))
+                chosen.append((a, b))
+                i, q, acc = i + 1, q + 1, acc + o * W[q]
+    if not complete:
+        tv = math.fsum(abs(y - x) for x, y in zip(v, v[1:]))
+        ub = 0.0
+        for t in range(1, t_seed + 1):
+            w_next = W[t] if t < mcap else 0.0
+            ub += (W[t - 1] - w_next) * nu[t - 1]
+        if t_seed < mcap:
+            ub += W[t_seed] * tv
+        warnings.warn(
+            f"variation search hit the node budget ({node_budget}); "
+            f"returning {best:.6g}, upper bound {ub:.6g} "
+            f"(gap {max(ub - best, 0.0):.3g})",
+            PrecisionWarning,
+        )
+    return best
+
+
+def _value_and_warnings(search, *args, **kwargs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = search(*args, **kwargs)
+    return value, [(w.category, str(w.message)) for w in caught]
+
+
+# a few levels and a free float: plateaus, exact ties between oscillations
+# and between families, and generic data; levels 1e-12 apart (the search's
+# slack) put rank bounds within rounding of the pruning limit
+_tied_samples = st.integers(min_value=1, max_value=60).flatmap(
+    lambda n: st.lists(
+        st.one_of(
+            st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.0 + 1e-12, 2.0, 2.0 - 1e-12]),
+            st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+        ),
+        min_size=n,
+        max_size=n,
+    )
+)
+_LAMBDAS = {
+    "harmonic": LambdaSequence.harmonic(),
+    "power_0.5": LambdaSequence.power(0.5),
+    "constant": LambdaSequence.constant(),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    v=_tied_samples,
+    lam=st.sampled_from(sorted(_LAMBDAS)),
+    budget=st.sampled_from([5, 50, 2000, None]),
+)
+@example(v=[0.0, 1.0] * 15, lam="constant", budget=None)
+@example(v=[0.0, 1.0, 1.0, 0.0, 2.0, 2.0, -1.0] * 8, lam="harmonic", budget=2000)
+def test_lambda_variation_matches_the_scan_search_bit_for_bit(v, lam, budget):
+    if budget is None:
+        # at the default budget the scan search takes seconds on 60 samples;
+        # 30 keep it complete and quick
+        v = v[:30]
+    kwargs = {} if budget is None else {"node_budget": budget}
+    want = _value_and_warnings(_lambda_variation_by_scan, v, _LAMBDAS[lam], **kwargs)
+    # nodes are decided from the suffix table, and with no table (cap 0)
+    # from the rank bound alone
+    for cap in (var._REST_CAP, 0):
+        with mock.patch.object(var, "_REST_CAP", cap):
+            assert _value_and_warnings(lambda_variation, v, _LAMBDAS[lam], **kwargs) == want
+
+
+def test_the_suffix_table_prunes_as_the_in_order_rank_bound_does():
+    # at limits a few ulps around the bound, where the table's own rounding
+    # alone could not tell which side the in-order sum falls on
+    rng = random.Random(5)
+    levels = [-1.0, 0.0, 0.1, 0.3, 0.5, 0.5 + 1e-12, 0.7, 1.0, 1.0 + 1e-12, 2.0, 3.0 - 1e-12]
+    for lam in _LAMBDAS.values():
+        for _ in range(6):
+            v = var._reduce_extrema([rng.choice(levels) for _ in range(40)])
+            oscs = [c[0] for c in var._candidates_undominated(v)]
+            W = lam.weights(min(len(oscs), len(v) - 1))
+            rest = var._rest_table(W, oscs)
+            assert rest is not None
+            for q in range(len(W)):
+                for i in range(len(oscs)):
+                    acc = rng.choice([0.0, 1.0, rng.uniform(0.0, 5.0)])
+                    bound = acc
+                    for w, o in zip(W[q:], oscs[i:]):
+                        t = w * o
+                        bound += t
+                        if t < 1e-16 * max(bound, 1.0):
+                            break
+                    below, above = math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf)
+                    for limit in (bound, below, above, math.nextafter(below, -math.inf)):
+                        want = bound <= limit
+                        assert var._pruned(acc, limit, q, i, W, oscs, rest) is want
+                        assert var._pruned(acc, limit, q, i, W, oscs, None) is want
+
+
+def test_lambda_variation_matches_the_scan_search_on_budget_bound_chirps():
+    f = sj.parse_function_spec("domain [0.02, 1]; piece x*sin(1/x^2)")
+    harm = LambdaSequence.harmonic()
+    for density in (40, 64):
+        s = sample_for_variation(f, density)
+        for budget in (5_000, 20_000):
+            want = _value_and_warnings(_lambda_variation_by_scan, s, harm, node_budget=budget)
+            assert want[1], "the chirp search must stay budget-bound"
+            assert _value_and_warnings(lambda_variation, s, harm, node_budget=budget) == want
 
 
 def test_modulus_examples():
