@@ -33,7 +33,6 @@ from .variation import (
     LambdaSequence,
     PowerPhi,
     SampleSequence,
-    Thresholds,
     VariationReport,
     build_report,
     classify,
@@ -43,7 +42,6 @@ from .variation import (
     phi_variation,
 )
 from .summability import (
-    CesaroConfig,
     cesaro_jump,
     cesaro_mean,
     cesaro_weights,
@@ -74,7 +72,6 @@ __version__ = "0.1.0"
 __all__ = [
     "A_k",
     "AccuracyError",
-    "CesaroConfig",
     "ChebyshevSeries",
     "ChebyshevTailConfig",
     "ClassLabel",
@@ -90,7 +87,6 @@ __all__ = [
     "SpecArityError",
     "SpecSyntaxError",
     "TailSumConfig",
-    "Thresholds",
     "VariationReport",
     "build_report",
     "cesaro_jump",

@@ -17,7 +17,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -378,10 +378,13 @@ def _cmd_diagnose(config: RunConfig) -> str:
         u = v2_tail_diagnostic(series, ns)
         return _table_text(config, ("n", "u_n"), list(zip(ns, u)))
     if config.check == "sn":
+        if config.points is not None and len(set(config.points)) != 1:
+            raise _ValidationError("--check sn reports one location; give exactly one point")
+        x = 0.0 if config.points is None else config.points[0]
         series = _series_for(config, f, series_in, "fourier", max(ns))
         rows = []
         for n in ns:
-            s = s_n_diagnostic(series, 0.0 if config.points is None else config.points[0], n)
+            s = s_n_diagnostic(series, x, n)
             rows.append((n, s, math.pi * s))
         return _table_text(config, ("n", "s_n", "pi_s_n"), rows)
     # parseval
@@ -459,6 +462,10 @@ def run(config: RunConfig) -> int:
         if values is not None and not values:
             print(f"error: {flag} is an empty list", file=sys.stderr)
             return 1
+    bad = [x for x in config.points or () if not math.isfinite(x)]
+    if bad:
+        print(f"error: --points must be finite, got {bad[0]!r}", file=sys.stderr)
+        return 1
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -486,10 +493,8 @@ def run(config: RunConfig) -> int:
 
 
 def _list(text: str, kind) -> list:
-    values = [kind(tok) for tok in text.split(",") if tok.strip()]
-    if not values:
-        raise argparse.ArgumentTypeError("expected a comma-separated list, got an empty one")
-    return values
+    # an empty list gets through; run() rejects it as it does a RunConfig's
+    return [kind(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _float_list(text: str) -> list[float]:

@@ -9,7 +9,6 @@ localizes harder; alpha = 1 reproduces the Fejer estimator exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -17,32 +16,12 @@ from .coefficients import A_k, FourierSeries
 from .tails import JumpEstimate
 
 __all__ = [
-    "CesaroConfig",
     "cesaro_weights",
     "cesaro_mean",
     "diff_series_terms",
     "fejer_jump",
     "cesaro_jump",
 ]
-
-
-@dataclass(frozen=True)
-class CesaroConfig:
-    """Order and length of a (C, alpha) mean.
-
-    alpha > -1 is required by the definition; alpha <= 0 is permitted but
-    outside the range the convergence theory uses, so treat it as
-    experimental.
-    """
-
-    alpha: float
-    n: int
-
-    def __post_init__(self):
-        if not self.alpha > -1.0:
-            raise ValueError("alpha must be > -1")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
 
 
 @lru_cache(maxsize=64)
@@ -81,6 +60,8 @@ def cesaro_mean(s: Sequence[float], alpha: float) -> float:
     """(C, alpha) mean of the sequence s_0..s_N, alpha > -1.
 
     alpha = 0 is the identity (returns s_N), alpha = 1 the arithmetic mean.
+    alpha <= 0 is permitted but lies outside the range the convergence
+    theory uses, so treat it as experimental.
     """
     vals = [float(v) for v in s]
     if not vals:

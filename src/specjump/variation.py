@@ -25,7 +25,6 @@ __all__ = [
     "SampleSequence",
     "VariationReport",
     "ClassLabel",
-    "Thresholds",
     "PowerPhi",
     "LambdaSequence",
     "p_variation",
@@ -64,15 +63,16 @@ def _values(s) -> list[float]:
 # Chain functionals
 # ---------------------------------------------------------------------------
 
-def _chain_power_sum(vals: list[float], p: float) -> float:
-    """sup over chains of sum |v_{i_{j+1}} - v_{i_j}|^p.
+def _chain_sum(vals: list[float], cost) -> float:
+    """sup over chains i_0<...<i_m of sum cost(|v_{i_{j+1}} - v_{i_j}|).
 
     Dynamic program over chain endpoints, O(n^2); exact on the samples.
+    cost maps an array of link lengths to their costs elementwise.
     """
     v = np.asarray(vals, dtype=float)
     best = np.zeros(len(v))
     for j in range(1, len(v)):
-        best[j] = np.max(best[:j] + np.abs(v[j] - v[:j]) ** p)
+        best[j] = np.max(best[:j] + cost(np.abs(v[j] - v[:j])))
     return float(np.max(best))
 
 
@@ -80,7 +80,7 @@ def p_variation(s, p: float) -> float:
     """sup over chains i_0<...<i_m of (sum |v_{i_{j+1}} - v_{i_j}|^p)^(1/p)."""
     if not p >= 1.0:
         raise ValueError("p must be >= 1")
-    return _chain_power_sum(_values(s), p) ** (1.0 / p)
+    return _chain_sum(_values(s), lambda d: d**p) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -97,37 +97,22 @@ class PowerPhi:
         return u**self.exponent
 
 
-# largest sample count phi_variation accepts for a general callable
-_PHI_CAP = 18
-
-
 def phi_variation(s, phi) -> float:
     """sup over chains of sum phi(|v_{i_{j+1}} - v_{i_j}|).
 
-    PowerPhi arguments run through the p-variation machinery at any size.
-    Other callables must satisfy phi(0) = 0 and are only accepted up to
-    _PHI_CAP samples; the chain DP evaluates the same supremum a brute-force
-    enumeration would.
+    PowerPhi arguments raise whole columns of link lengths to the exponent, as
+    p_variation does.  Other callables must satisfy phi(0) = 0 and are called
+    once per pair of samples, on Python floats; the chain DP evaluates the same
+    supremum a brute-force enumeration would, at any sample count.
     """
     vals = _values(s)
-    n = len(vals)
     if isinstance(phi, PowerPhi):
-        return _chain_power_sum(vals, phi.exponent)
+        return _chain_sum(vals, lambda d: d**phi.exponent)
     if not callable(phi):
         raise TypeError("phi must be callable or a PowerPhi")
-    if n > _PHI_CAP:
-        raise ValueError(
-            f"{n} samples exceed the cap of {_PHI_CAP} for a general phi; "
-            "use PowerPhi for power functions"
-        )
     if phi(0.0) != 0.0:
         raise ValueError("phi(0) must be 0")
-    if n < 2:
-        return 0.0
-    best = [0.0] * n
-    for j in range(1, n):
-        best[j] = max(best[i] + phi(abs(vals[j] - vals[i])) for i in range(j))
-    return max(best)
+    return _chain_sum(vals, lambda d: np.array([phi(t) for t in d.tolist()], dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -443,24 +428,6 @@ class ClassLabel:
 
 
 @dataclass(frozen=True)
-class Thresholds:
-    """Knobs of the growth-template classifier.
-
-    A functional counts as bounded under refinement when its log-log growth
-    slope against grid density stays within slope_tol.  Template fits are
-    accepted at R^2 >= r2_min.  The classifier is a labeled heuristic, not a
-    membership proof.
-    """
-
-    slope_tol: float = 0.08
-    r2_min: float = 0.9
-    p_min: float = 1.0
-    p_max: float = 4.0
-    p_step: float = 0.25
-    alpha_max: float = 0.95
-
-
-@dataclass(frozen=True)
 class VariationReport:
     """Functional values computed on one sample grid."""
 
@@ -503,15 +470,29 @@ def _fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]
     return float(coef[0]), r2
 
 
-def classify(reports: Sequence[VariationReport], thresholds: Optional[Thresholds] = None) -> ClassLabel:
+# the battery of build_report: p-variation exponents and the largest modulus count
+_P_GRID = (1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0, 3.25, 3.5, 3.75, 4.0)
+_MODULUS_N_MAX = 32
+
+# classify's tolerances: a functional counts as bounded under refinement when
+# its log-log growth slope against grid density is at most _SLOPE_TOL; a
+# template fit needs R^2 >= _R2_MIN, and a power modulus an exponent of at
+# most _ALPHA_MAX
+_SLOPE_TOL = 0.08
+_R2_MIN = 0.9
+_ALPHA_MAX = 0.95
+
+
+def classify(reports: Sequence[VariationReport]) -> ClassLabel:
     """Fit functional growth across a refinement family of reports and name
     the smallest class in BV, V_p, V[n^alpha], HBV, W that stays bounded.
 
     Each report must carry grid_density; at least two densities are needed
-    for any growth fit.  Returns ClassLabel("inconclusive") when no template
-    fits within tolerance.
+    for any growth fit.  The p-variation scan walks _P_GRID and skips any p
+    that some report lacks.  Returns ClassLabel("inconclusive") when no
+    template fits within tolerance.  The classifier is a labeled heuristic,
+    not a membership proof.
     """
-    th = thresholds or Thresholds()
     reports = sorted(reports, key=lambda r: r.grid_density or 0)
     if len(reports) < 2 or any(r.grid_density is None for r in reports):
         return ClassLabel("inconclusive")
@@ -525,22 +506,19 @@ def classify(reports: Sequence[VariationReport], thresholds: Optional[Thresholds
     tv = series_for(1.0)
     if tv is not None:
         slope, _ = _fit_loglog(densities, tv)
-        if slope <= th.slope_tol:
+        if slope <= _SLOPE_TOL:
             return ClassLabel("BV")
 
     # scan the p-grid for the boundedness crossover
-    p_vals = []
-    p = th.p_min
-    while p <= th.p_max + 1e-9:
-        if series_for(round(p, 6)) is not None:
-            p_vals.append(round(p, 6))
-        p += th.p_step
     prev_p, prev_slope = None, None
-    for p in p_vals:
-        slope, _ = _fit_loglog(densities, series_for(p))
-        if p > 1.0 and slope <= th.slope_tol:
+    for p in _P_GRID:
+        pv = series_for(p)
+        if pv is None:
+            continue
+        slope, _ = _fit_loglog(densities, pv)
+        if p > 1.0 and slope <= _SLOPE_TOL:
             if prev_slope is not None and prev_slope > slope:
-                frac = (prev_slope - th.slope_tol) / (prev_slope - slope)
+                frac = (prev_slope - _SLOPE_TOL) / (prev_slope - slope)
                 fitted = prev_p + frac * (p - prev_p)
             else:
                 fitted = p
@@ -552,21 +530,16 @@ def classify(reports: Sequence[VariationReport], thresholds: Optional[Thresholds
     if len(finest.modulus) >= 3:
         ms = list(range(1, len(finest.modulus) + 1))
         alpha, r2 = _fit_loglog(ms, finest.modulus)
-        if r2 >= th.r2_min and 0.0 < alpha <= th.alpha_max:
+        if r2 >= _R2_MIN and 0.0 < alpha <= _ALPHA_MAX:
             return ClassLabel("V[n^alpha]", round(alpha, 4))
 
     harm = [r.harmonic_variation for r in reports]
     slope, r2 = _fit_loglog(densities, harm)
-    if slope <= th.slope_tol:
+    if slope <= _SLOPE_TOL:
         return ClassLabel("HBV")
-    if r2 >= th.r2_min:
+    if r2 >= _R2_MIN:
         return ClassLabel("W")
     return ClassLabel("inconclusive")
-
-
-# the battery of build_report: p-variation exponents and the largest modulus count
-_P_GRID = (1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5, 2.75, 3.0, 3.25, 3.5, 3.75, 4.0)
-_MODULUS_N_MAX = 32
 
 
 def build_report(s, grid_density: Optional[int] = None) -> VariationReport:

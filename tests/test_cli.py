@@ -142,6 +142,33 @@ def test_a_zero_or_empty_flag_is_an_error_not_a_default(capsys, saw_spec, comman
     assert rc == 1
     assert out == ""
     assert "error:" in err
+    if flag.endswith("="):
+        # the flag parser passes an empty list on, and run() rejects it
+        assert err == f"error: {flag[:-1]} is an empty list\n"
+
+
+@pytest.mark.parametrize("point", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("detect", ("--method", "fejer")),
+        ("detect", ("--method", "integrated")),
+        ("table", ("--method", "integrated")),
+        ("diagnose", ("--check", "sn")),
+    ],
+)
+def test_a_non_finite_point_is_an_error_not_a_nan_row(capsys, tmp_path, point, command, flags):
+    series = tmp_path / "saw.json"
+    series.write_text(series_to_json(specjump.sawtooth_series(1000)), encoding="utf-8")
+    rc, out, err = run_cli(
+        capsys, "--command", command, "--input", str(series), f"--points={point}", *flags
+    )
+    assert (rc, out) == (1, "")
+    assert err == f"error: --points must be finite, got {float(point)!r}\n"
+    # library callers too, whatever the other points
+    config = specjump.RunConfig(command, input=str(series), points=[0.0, float(point)])
+    assert specjump.run(config) == 1
+    assert capsys.readouterr() == ("", err)
 
 
 @pytest.mark.parametrize(
@@ -437,6 +464,23 @@ def test_diagnose_partial_sums(capsys, saw_spec):
     lines = out.strip().splitlines()
     assert lines[0] == "n,s_n,pi_s_n"
     assert lines[1] == "10,1.0,3.141592653589793"
+
+
+def test_diagnose_partial_sums_want_exactly_one_point(capsys, saw_spec):
+    rc, out, err = run_cli(
+        capsys,
+        "--command", "diagnose", "--input", saw_spec,
+        "--check", "sn", "--n-list", "10", "--points=0,1,2",
+    )
+    assert (rc, out) == (1, "")
+    assert err == "error: --check sn reports one location; give exactly one point\n"
+    rc, out, err = run_cli(
+        capsys,
+        "--command", "diagnose", "--input", saw_spec,
+        "--check", "sn", "--n-list", "10", "--points=1.0",
+    )
+    assert rc == 0
+    assert out.splitlines()[1] != "10,1.0,3.141592653589793"
 
 
 def test_diagnose_sawtooth_bound(capsys, saw_spec):

@@ -1,5 +1,6 @@
 """Parsing, evaluation, and round-trip behavior of piecewise function specs."""
 
+import ast
 import math
 import re
 from pathlib import Path
@@ -216,6 +217,23 @@ def test_readme_lists_exactly_the_parser_functions():
     listed = re.search(r"arity-1 functions (.*?)\. Syntax", readme, re.S).group(1)
     names = re.findall(r"`(\w+)`", listed)
     assert sorted(names) == sorted(_FUNCTIONS)
+
+
+def test_readme_quickstart_runs_and_gives_its_commented_results():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", readme, re.S).group(1)
+    lines = block.splitlines()
+    namespace, results = {}, {}
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            # a bare expression's value is shown in the comment on its last line
+            comment = lines[stmt.end_lineno - 1].partition("#")[2].strip()
+            results[comment] = eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace)
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    pi = results["the float pi, exactly"]
+    assert (type(pi), pi) == (float, math.pi)
+    assert results['ClassLabel("BV")'] == sj.ClassLabel("BV")
 
 
 def test_extra_call_argument_rejected():

@@ -8,7 +8,6 @@ import pytest
 
 from specjump.coefficients import FourierSeries, sawtooth_series
 from specjump.summability import (
-    CesaroConfig,
     cesaro_jump,
     cesaro_mean,
     cesaro_weights,
@@ -79,12 +78,12 @@ def test_weights_are_cached():
     assert cesaro_weights(17, 0.5) is cesaro_weights(17, 0.5)
 
 
-def test_config_validation():
+def test_weights_validate_their_order_and_length():
     with pytest.raises(ValueError, match="alpha must be > -1"):
-        CesaroConfig(-1.0, 5)
-    with pytest.raises(ValueError, match="n must be >= 1"):
-        CesaroConfig(1.0, 0)
-    CesaroConfig(-0.5, 1)
+        cesaro_weights(5, -1.0)
+    with pytest.raises(ValueError, match="N must be >= 0"):
+        cesaro_weights(-1, 1.0)
+    assert cesaro_weights(0, -0.5) == ((1.0,), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from specjump.variation import (
     LambdaSequence,
     PowerPhi,
     SampleSequence,
-    Thresholds,
     VariationReport,
     build_report,
     classify,
@@ -42,6 +41,20 @@ finite_samples = st.lists(
     st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
     min_size=2,
     max_size=10,
+)
+
+# a few levels and a free float: plateaus, exact ties between oscillations
+# and between families, and generic data; levels 1e-12 apart (the search's
+# slack) put rank bounds within rounding of the pruning limit
+_tied_samples = st.integers(min_value=1, max_value=60).flatmap(
+    lambda n: st.lists(
+        st.one_of(
+            st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.0 + 1e-12, 2.0, 2.0 - 1e-12]),
+            st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+        ),
+        min_size=n,
+        max_size=n,
+    )
 )
 
 
@@ -88,12 +101,38 @@ def test_phi_variation_examples():
 
 
 def test_phi_variation_general_callable_guards():
-    with pytest.raises(ValueError, match="exceed the cap of 18"):
-        phi_variation([float(i) for i in range(19)], lambda u: u)
+    # a general phi takes any sample count
+    zig = [float(i % 2) for i in range(40)]
+    assert phi_variation(zig, lambda u: u) == p_variation(zig, 1.0) == 39.0
     with pytest.raises(ValueError, match=r"phi\(0\) must be 0"):
         phi_variation([0.0, 1.0], lambda u: u + 1.0)
     with pytest.raises(ValueError, match="exponent must be >= 1"):
         PowerPhi(0.5)
+
+
+def _phi_variation_by_loop(v, phi):
+    """The general-phi chain DP as a loop over Python floats, one pair at a
+    time: the reference for the column form every chain functional uses."""
+    n = len(v)
+    if n < 2:
+        return 0.0
+    best = [0.0] * n
+    for j in range(1, n):
+        best[j] = max(best[i] + phi(abs(v[j] - v[i])) for i in range(j))
+    return max(best)
+
+
+_PHIS = {"sqrt": math.sqrt, "min1": lambda u: min(u, 1.0), "cube": lambda u: u**3}
+
+
+@settings(max_examples=150, deadline=None)
+@given(v=_tied_samples, phi=st.sampled_from(sorted(_PHIS)))
+@example(v=[0.0, 1.0, 1.0, 0.0, 2.0, 2.0, -1.0] * 8, phi="min1")
+def test_general_phi_matches_the_pairwise_loop_bit_for_bit(v, phi):
+    want = _phi_variation_by_loop(v, _PHIS[phi])
+    got = phi_variation(v, _PHIS[phi])
+    assert type(got) is float
+    assert got == want
 
 
 def test_chain_dp_matches_exhaustive_search():
@@ -287,19 +326,6 @@ def _value_and_warnings(search, *args, **kwargs):
     return value, [(w.category, str(w.message)) for w in caught]
 
 
-# a few levels and a free float: plateaus, exact ties between oscillations
-# and between families, and generic data; levels 1e-12 apart (the search's
-# slack) put rank bounds within rounding of the pruning limit
-_tied_samples = st.integers(min_value=1, max_value=60).flatmap(
-    lambda n: st.lists(
-        st.one_of(
-            st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.0 + 1e-12, 2.0, 2.0 - 1e-12]),
-            st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
-        ),
-        min_size=n,
-        max_size=n,
-    )
-)
 _LAMBDAS = {
     "harmonic": LambdaSequence.harmonic(),
     "power_0.5": LambdaSequence.power(0.5),
@@ -501,6 +527,97 @@ def test_classify_chirp_in_the_p_variation_scale():
     assert abs(label.parameter - 1.8024) <= 0.01
 
 
+def _classify_by_accumulation(reports):
+    """classify with its tolerances spelled out and its p-grid rebuilt by
+    adding 0.25 from 1.0 up to 4.0 and rounding: the reference for the scan
+    over the module's p-grid."""
+    slope_tol, r2_min, alpha_max = 0.08, 0.9, 0.95
+    reports = sorted(reports, key=lambda r: r.grid_density or 0)
+    if len(reports) < 2 or any(r.grid_density is None for r in reports):
+        return ClassLabel("inconclusive")
+    densities = [float(r.grid_density) for r in reports]
+
+    def series_for(p):
+        if all(p in r.p_variation for r in reports):
+            return [r.p_variation[p] for r in reports]
+        return None
+
+    tv = series_for(1.0)
+    if tv is not None:
+        slope, _ = var._fit_loglog(densities, tv)
+        if slope <= slope_tol:
+            return ClassLabel("BV")
+    p_vals = []
+    p = 1.0
+    while p <= 4.0 + 1e-9:
+        if series_for(round(p, 6)) is not None:
+            p_vals.append(round(p, 6))
+        p += 0.25
+    prev_p, prev_slope = None, None
+    for p in p_vals:
+        slope, _ = var._fit_loglog(densities, series_for(p))
+        if p > 1.0 and slope <= slope_tol:
+            if prev_slope is not None and prev_slope > slope:
+                frac = (prev_slope - slope_tol) / (prev_slope - slope)
+                fitted = prev_p + frac * (p - prev_p)
+            else:
+                fitted = p
+            return ClassLabel("V_p", round(fitted, 4))
+        prev_p, prev_slope = p, slope
+    finest = reports[-1]
+    if len(finest.modulus) >= 3:
+        ms = list(range(1, len(finest.modulus) + 1))
+        alpha, r2 = var._fit_loglog(ms, finest.modulus)
+        if r2 >= r2_min and 0.0 < alpha <= alpha_max:
+            return ClassLabel("V[n^alpha]", round(alpha, 4))
+    harm = [r.harmonic_variation for r in reports]
+    slope, r2 = var._fit_loglog(densities, harm)
+    if slope <= slope_tol:
+        return ClassLabel("HBV")
+    if r2 >= r2_min:
+        return ClassLabel("W")
+    return ClassLabel("inconclusive")
+
+
+# the grid and p's off it (which the scan must skip) or past its ends
+_P_POOL = P_GRID + [0.5, 1.1, 1.3, 2.6, 3.999999, 4.25, 5.0]
+
+
+@st.composite
+def _report_families(draw):
+    """Reports whose functionals grow like density^slope, with a slope per
+    functional and a jitter per value; some reports lack some p's."""
+    growth = st.one_of(st.just(0.0), st.floats(min_value=-0.2, max_value=0.8))
+    jitter = st.one_of(st.just(1.0), st.floats(min_value=0.8, max_value=1.25))
+    densities = draw(
+        st.lists(st.integers(min_value=2, max_value=4096), min_size=2, max_size=5, unique=True)
+    )
+    ps = draw(st.lists(st.sampled_from(_P_POOL), unique=True))
+    slopes = {p: draw(growth) for p in ps}
+    harm_slope = draw(growth)
+    alpha = draw(st.floats(min_value=-0.2, max_value=1.2))
+    modulus = [
+        (m + 1.0) ** alpha * draw(st.floats(min_value=0.97, max_value=1.03))
+        for m in range(draw(st.integers(min_value=0, max_value=8)))
+    ]
+    reports = []
+    for d in densities:
+        missing = draw(st.lists(st.sampled_from(ps), max_size=2)) if ps else []
+        pv = {p: 3.0 * d ** slopes[p] * draw(jitter) for p in ps if p not in missing}
+        harm = 2.0 * d ** harm_slope * draw(jitter)
+        reports.append(_report(d, pv, harm, modulus))
+    return reports
+
+
+@settings(max_examples=300, deadline=None)
+@given(_report_families())
+@example([_report(8, {1.0: 1.0, 1.1: 2.0}, 1.0, ())])
+@example([_report(8, {2.0: 1.0}, 1.0, ()), _report(None, {2.0: 1.0}, 1.0, ())])
+def test_classify_matches_the_accumulated_p_grid(reports):
+    got, want = classify(reports), _classify_by_accumulation(reports)
+    assert (got.name, got.parameter) == (want.name, want.parameter)
+
+
 def test_report_json_shape():
     rep = _report(8, {1.0: 2.0}, 2.0, (1.0, 2.0))
     obj = rep.to_json_obj()
@@ -508,13 +625,6 @@ def test_report_json_shape():
     assert obj["p_variation"] == {"1.0": 2.0}
     assert obj["suggested_class"] is None
     assert obj["modulus"] == [1.0, 2.0]
-
-
-def test_thresholds_defaults():
-    th = Thresholds()
-    assert th.slope_tol == 0.08
-    assert th.r2_min == 0.9
-    assert th.p_max == 4.0
 
 
 def test_sampler_straddles_each_breakpoint():
