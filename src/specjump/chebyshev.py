@@ -2,11 +2,10 @@
 
 The once-integrated tail of a Chebyshev expansion at an interior point x
 decays like 1/n with coefficient -sqrt(1-x^2)/pi times the jump at x; the
-estimator inverts that.  Two independent evaluation paths are kept alive
-deliberately: a direct x-domain antiderivative route and a theta-domain
-route (substitute x = cos theta, integrate by parts, reuse the trigonometric
-tail machinery).  Disagreement between them signals an implementation bug,
-so "both" mode cross-checks and raises rather than averaging.
+estimator inverts that.  The integrated tail is evaluated by one route:
+the tail's antiderivative as a Chebyshev expansion, summed by Clenshaw.  The
+tests keep an independent theta-domain route (substitute x = cos theta,
+integrate by parts, reuse the trigonometric tail sum) as its oracle.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coefficients import AccuracyError, ChebyshevSeries
-from .tails import JumpEstimate, PrecisionWarning, _tail_sum, _window, _window_sup
+from .coefficients import ChebyshevSeries
+from .tails import JumpEstimate, PrecisionWarning, _window, _window_sup
 
 __all__ = [
     "ChebyshevTailConfig",
@@ -31,28 +30,17 @@ __all__ = [
 
 _ENDPOINT_MARGIN = 1e-8
 
-_PATHS = ("x_domain", "theta_domain", "both")
-
 
 @dataclass(frozen=True)
 class ChebyshevTailConfig:
-    """Tail start n, cutoff K_cap, and evaluation path selection.
-
-    path "both" evaluates the x-domain and theta-domain routes and raises
-    AccuracyError when they disagree by more than agreement_tol (None picks
-    a tolerance scaled to the tail magnitude; 0.0 demands bit equality).
-    """
+    """Tail start n and cutoff K_cap (None: every stored coefficient)."""
 
     n: int
     K_cap: Optional[int] = None
-    path: str = "x_domain"
-    agreement_tol: Optional[float] = None
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.path not in _PATHS:
-            raise ValueError(f"path must be one of {_PATHS}")
 
 
 def _resolve_K(series: ChebyshevSeries, cfg: ChebyshevTailConfig) -> int:
@@ -103,13 +91,17 @@ def chebyshev_tail(series: ChebyshevSeries, x: float, cfg: ChebyshevTailConfig) 
     return value
 
 
-def _integrated_x_domain(series: ChebyshevSeries, x: float, n: int, K: int) -> float:
-    """sum_{k=n}^{K} c_k int_{-1}^{x} T_k(y) dy via one antiderivative
-    Chebyshev expansion.
+def integrated_chebyshev_tail(
+    series: ChebyshevSeries, x: float, cfg: ChebyshevTailConfig
+) -> float:
+    """Integral from -1 to x of the Chebyshev tail sum_{k=n}^{K_cap} c_k T_k,
+    via one antiderivative Chebyshev expansion summed by Clenshaw.
 
     int T_k = [T_{k+1}/(k+1) - T_{k-1}/(k-1)]/2 - (-1)^k/(k^2-1) for k >= 2
     (constants fixed so the value at -1 is zero); int T_1 = (T_2 - 1)/4.
     """
+    _check_x(x)
+    n, K = cfg.n, _resolve_K(series, cfg)
     c = series.c
     value = 0.0
     m = max(n, 2)
@@ -127,55 +119,6 @@ def _integrated_x_domain(series: ChebyshevSeries, x: float, n: int, K: int) -> f
         const = math.fsum((-c[m : K + 1] * signs / (ks**2 - 1.0)).tolist())
         value += _clenshaw(D.tolist(), x) + const
     return value
-
-
-def _integrated_theta_domain(series: ChebyshevSeries, x: float, n: int, K: int) -> float:
-    """Theta-domain route: with eta = arccos x and g(theta) = f(cos theta),
-    the integral from -1 equals -sin(eta) R(eta) - int_eta^pi R(theta) cos
-    theta dtheta where R is the once-integrated trigonometric tail of g.
-    The theta integral is a sum of exact per-mode integrals of
-    sin(k theta) cos(theta); quadrature cannot resolve k ~ K oscillations.
-    """
-    eta = math.acos(x)
-    ks = np.arange(n, K + 1, dtype=float)
-    cs = series.c[n : K + 1]
-    r1 = _tail_sum(cs, None, eta, n, 1)
-    kp, km = ks + 1.0, ks - 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # int_eta^pi sin(k t) cos t dt, exact for k != 1
-        end = -np.where(np.arange(n, K + 1) % 2 == 0, -1.0, 1.0) * (1.0 / kp + 1.0 / km)
-        J = 0.5 * (end + np.cos(kp * eta) / kp + np.cos(km * eta) / km)
-    if n == 1:
-        J[0] = (math.cos(2.0 * eta) - 1.0) / 4.0
-    theta_int = math.fsum((cs / ks * J).tolist())
-    return -math.sin(eta) * r1 - theta_int
-
-
-def integrated_chebyshev_tail(
-    series: ChebyshevSeries, x: float, cfg: ChebyshevTailConfig
-) -> float:
-    """Integral from -1 to x of the Chebyshev tail sum_{k>=n} c_k T_k.
-
-    Evaluated by the path cfg selects; "both" cross-checks the two routes
-    and raises AccuracyError if they disagree beyond combined rounding.
-    """
-    _check_x(x)
-    n, K = cfg.n, _resolve_K(series, cfg)
-    if cfg.path == "x_domain":
-        return _integrated_x_domain(series, x, n, K)
-    if cfg.path == "theta_domain":
-        return _integrated_theta_domain(series, x, n, K)
-    vx = _integrated_x_domain(series, x, n, K)
-    vt = _integrated_theta_domain(series, x, n, K)
-    tol = cfg.agreement_tol
-    if tol is None:
-        tol = max(1e-10, 1e-8 * max(abs(vx), abs(vt)))
-    if abs(vx - vt) > tol:
-        raise AccuracyError(
-            f"integrated tail paths disagree: x_domain={vx!r} theta_domain={vt!r} "
-            f"(|diff|={abs(vx - vt):.3g} > tol={tol:.3g})"
-        )
-    return vx
 
 
 def jump_from_chebyshev(

@@ -143,7 +143,7 @@ def _default_K(f: PiecewiseFunction, config: RunConfig, nmax: int) -> int:
     if config.K_cap is not None:
         return config.K_cap
     # closed forms are cheap; quadrature cost grows with K, so cap it harder
-    if _closed_form_polys(f, "auto") is not None:
+    if _closed_form_polys(f) is not None:
         return max(200_000, 4 * nmax)
     return max(4096, 4 * nmax)
 
@@ -369,6 +369,11 @@ def _cmd_variation(config: RunConfig) -> str:
 
 def _cmd_diagnose(config: RunConfig) -> str:
     ns = config.n_list if config.n_list is not None else [10, 100, 1000]
+    # only sn reads a location, and only from --points
+    if config.points is not None and config.check != "sn":
+        raise _ValidationError(f"--check {config.check} does not use --points")
+    if config.grid is not None:
+        raise _ValidationError(f"--check {config.check} does not use --grid")
     if config.check == "sawtooth_bound":
         sups = chebmod.sawtooth_tail_bound_check(ns)
         return _table_text(config, ("n", "sup_n_times_tail"), list(zip(ns, sups)))
@@ -494,7 +499,12 @@ def run(config: RunConfig) -> int:
 
 def _list(text: str, kind) -> list:
     # an empty list gets through; run() rejects it as it does a RunConfig's
-    return [kind(tok) for tok in text.split(",") if tok.strip()]
+    if not text.strip():
+        return []
+    tokens = text.split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
+    return [kind(tok) for tok in tokens]
 
 
 def _float_list(text: str) -> list[float]:

@@ -53,7 +53,7 @@ _MAX_RULE_NODES = 1 << 22
 
 class AccuracyError(RuntimeError):
     """A numerical cross-check failed: quadrature did not converge under
-    panel doubling, or two independent evaluation routes disagree."""
+    panel doubling, or its next panel rule would exceed the work bound."""
 
 
 def _frozen(name: str, values) -> np.ndarray:
@@ -408,20 +408,12 @@ def _panel_sums(edges, pieces, K: int, panels, x_of=None) -> np.ndarray:
     return out
 
 
-def _closed_form_polys(f: PiecewiseFunction, quad: str) -> Optional[list[list[float]]]:
+def _closed_form_polys(f: PiecewiseFunction) -> Optional[list[list[float]]]:
     """The closed-form-or-quadrature dispatch of both bases: the pieces'
-    power-basis coefficients when quad selects the closed form, None when it
-    selects quadrature.  "auto" takes the closed form whenever every piece is
-    a polynomial of degree <= 3."""
+    power-basis coefficients when every piece is a polynomial of degree
+    <= 3 (closed form), else None (quadrature)."""
     polys = [_as_polynomial(e) for e in f.pieces]
-    closed_ok = all(p is not None and len(p) <= 4 for p in polys)
-    if quad == "closed_form" or (quad == "auto" and closed_ok):
-        if not closed_ok:
-            raise ValueError("closed form requires polynomial pieces of degree <= 3")
-        return polys
-    if quad not in ("auto", "quadrature"):
-        raise ValueError(f"unknown quad mode {quad!r}")
-    return None
+    return polys if all(p is not None and len(p) <= 4 for p in polys) else None
 
 
 def _doubled_quadrature(edges, pieces, K: int, coefficients, basis: str, x_of=None) -> tuple:
@@ -457,18 +449,18 @@ def _doubled_quadrature(edges, pieces, K: int, coefficients, basis: str, x_of=No
     )
 
 
-def fourier_coefficients(f: PiecewiseFunction, K: int, quad: str = "auto") -> FourierSeries:
+def fourier_coefficients(f: PiecewiseFunction, K: int) -> FourierSeries:
     """Fourier coefficients of f up to frequency K.
 
-    quad is "auto" (closed form when available), "closed_form" (error if the
-    pieces are not polynomial of degree <= 3), or "quadrature".
+    In closed form when every piece is a polynomial of degree <= 3, else by
+    panel-doubled quadrature; the series' provenance says which.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     lo, hi = f.domain
     if not math.isclose(hi - lo, 2.0 * math.pi):
         raise ValueError("Fourier coefficients require a domain of length 2 pi")
-    polys = _closed_form_polys(f, quad)
+    polys = _closed_form_polys(f)
     if polys is not None:
         return _closed_form_fourier(polys, f.edges, K)
 
@@ -485,9 +477,10 @@ def fourier_coefficients(f: PiecewiseFunction, K: int, quad: str = "auto") -> Fo
     return FourierSeries(K, a0_half, a, b, provenance="quadrature")
 
 
-def chebyshev_coefficients(f: PiecewiseFunction, K: int, quad: str = "auto") -> ChebyshevSeries:
+def chebyshev_coefficients(f: PiecewiseFunction, K: int) -> ChebyshevSeries:
     """Chebyshev coefficients c_0..c_K of f on [-1, 1].
 
+    In closed form or by quadrature, as fourier_coefficients decides.
     Computed in theta variables: c_k = (2/pi) * integral_0^pi f(cos t) cos(kt) dt
     (half weight at k = 0), with quadrature panels split at the theta images
     of the breakpoints.
@@ -497,7 +490,7 @@ def chebyshev_coefficients(f: PiecewiseFunction, K: int, quad: str = "auto") -> 
     lo, hi = f.domain
     if not (math.isclose(lo, -1.0) and math.isclose(hi, 1.0)):
         raise ValueError("Chebyshev coefficients require domain [-1, 1]")
-    polys = _closed_form_polys(f, quad)
+    polys = _closed_form_polys(f)
     if polys is not None:
         return _closed_form_chebyshev(polys, f.edges, K)
 

@@ -73,13 +73,11 @@ class TailSumConfig:
     """Truncation policy for tail sums.
 
     K_cap: summation cutoff; defaults to min(series.K, max(1e6, 100 n)) for
-    closed-form series and to series.K otherwise.
-    remainder_bound: optional caller-supplied bound on the discarded tail
-    sum (tail units); when None a bound is modeled from the coefficients.
+    closed-form series and to series.K otherwise.  The bound on the
+    discarded part beyond it is always modeled from the coefficients.
     """
 
     K_cap: Optional[int] = None
-    remainder_bound: Optional[float] = None
 
 
 def _resolve_K(series: FourierSeries, n: int, cfg: Optional[TailSumConfig]) -> int:
@@ -138,12 +136,9 @@ def _tail(series, x0, r, n, cfg, what: str, conjugate: bool):
     a, b = series.a[n - 1 : K], series.b[n - 1 : K]
     raw = _tail_sum(a, b, x0, n, p)
     value = raw if r % 2 == 0 else -raw
-    if cfg is not None and cfg.remainder_bound is not None:
-        bound = cfg.remainder_bound
-    else:
-        # sum_{k>K} rho* K / k^(p+1) <= rho* / (p K^(p-1))
-        amp = np.hypot(_window(a, K), _window(b, K))
-        bound = _window_sup(amp, K) / (p * float(K) ** (p - 1))
+    # sum_{k>K} rho* K / k^(p+1) <= rho* / (p K^(p-1))
+    amp = np.hypot(_window(a, K), _window(b, K))
+    bound = _window_sup(amp, K) / (p * float(K) ** (p - 1))
     if bound > 0.01 * abs(value):
         warnings.warn(
             f"{what}: truncation remainder bound {bound:.3g} exceeds 1% of "

@@ -32,6 +32,35 @@ def sign_fourier_series(K):
     return FourierSeries(K, 0.0, (0.0,) * K, b, provenance="closed_form")
 
 
+def theta_route_integrated_tail(series, x, n):
+    """Reference for integrated_chebyshev_tail with K_cap = series.K, by an
+    independent route: with eta = arccos x and g(theta) = f(cos theta), the
+    integral from -1 equals -sin(eta) R(eta) - int_eta^pi R(theta) cos theta
+    dtheta, where R is the once-integrated trigonometric tail of g.  The
+    theta integral is a sum of exact per-mode integrals of
+    sin(k theta) cos(theta); quadrature cannot resolve k ~ K oscillations.
+    """
+    K = series.K
+    eta = math.acos(x)
+    ks = np.arange(n, K + 1, dtype=float)
+    cs = series.c[n : K + 1]
+    r1 = math.fsum((cs * np.sin(ks * eta) / ks).tolist())
+    kp, km = ks + 1.0, ks - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # int_eta^pi sin(k t) cos t dt, exact for k != 1
+        end = -np.where(np.arange(n, K + 1) % 2 == 0, -1.0, 1.0) * (1.0 / kp + 1.0 / km)
+        J = 0.5 * (end + np.cos(kp * eta) / kp + np.cos(km * eta) / km)
+    if n == 1:
+        J[0] = (math.cos(2.0 * eta) - 1.0) / 4.0
+    theta_int = math.fsum((cs / ks * J).tolist())
+    return -math.sin(eta) * r1 - theta_int
+
+
+def routes_agree(vx, vt):
+    """The two integrated-tail routes agree within combined rounding."""
+    return abs(vx - vt) <= max(1e-10, 1e-8 * max(abs(vx), abs(vt)))
+
+
 # ---------------------------------------------------------------------------
 # Brute-force references for the variation functionals
 # ---------------------------------------------------------------------------

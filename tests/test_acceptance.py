@@ -47,7 +47,9 @@ from conftest import (
     brute_lambda_variation,
     brute_modulus,
     brute_p_variation,
+    routes_agree,
     sign_fourier_series,
+    theta_route_integrated_tail,
 )
 
 
@@ -172,10 +174,9 @@ def test_criterion_06_chebyshev_jump_and_dual_route_agreement():
         c = tuple(rng.uniform(-1, 1) / (1 + j) ** 2 for j in range(K + 1))
         series = ChebyshevSeries(K, c, provenance="synthetic")
         x = rng.uniform(-0.95, 0.95)
-        vx = integrated_chebyshev_tail(series, x, ChebyshevTailConfig(n=n, path="x_domain"))
-        vt = integrated_chebyshev_tail(series, x, ChebyshevTailConfig(n=n, path="theta_domain"))
-        # "both" enforces its combined-rounding tolerance internally
-        integrated_chebyshev_tail(series, x, ChebyshevTailConfig(n=n, path="both"))
+        vx = integrated_chebyshev_tail(series, x, ChebyshevTailConfig(n=n))
+        vt = theta_route_integrated_tail(series, x, n)
+        assert routes_agree(vx, vt)
         worst = max(worst, abs(vx - vt))
     print(f"dual-route worst |diff| over 100 cases: {worst!r}")
     assert worst <= 1e-12

@@ -20,9 +20,9 @@ from specjump.chebyshev import (
     sawtooth_tail_bound_check,
 )
 from specjump.coefficients import ChebyshevSeries, chebyshev_coefficients
-from specjump.tails import AccuracyError, PrecisionWarning
+from specjump.tails import PrecisionWarning
 
-from conftest import SIGN_X_SPEC
+from conftest import SIGN_X_SPEC, routes_agree, theta_route_integrated_tail
 
 SIGN_X = sj.parse_function_spec(SIGN_X_SPEC)
 SIGN_CHEB_4096 = chebyshev_coefficients(SIGN_X, 4096)
@@ -42,8 +42,6 @@ def single_mode(k, K=16):
 def test_config_validation():
     with pytest.raises(ValueError, match="n must be >= 1"):
         ChebyshevTailConfig(n=0)
-    with pytest.raises(ValueError, match="path must be one of"):
-        ChebyshevTailConfig(n=1, path="sideways")
 
 
 def test_endpoints_are_rejected():
@@ -120,34 +118,34 @@ def test_power_of_two_scaling_is_exact():
             assert chebyshev_tail(doubled, x, cfg) == 2.0 * chebyshev_tail(
                 SIGN_CHEB_4096, x, cfg
             )
-        for path in ("x_domain", "theta_domain"):
-            cfg = ChebyshevTailConfig(n=3, path=path)
-            assert integrated_chebyshev_tail(doubled, x, cfg) == 2.0 * (
-                integrated_chebyshev_tail(SIGN_CHEB_4096, x, cfg)
-            )
+        assert integrated_chebyshev_tail(doubled, x, cfg) == 2.0 * (
+            integrated_chebyshev_tail(SIGN_CHEB_4096, x, cfg)
+        )
+        assert theta_route_integrated_tail(doubled, x, 3) == 2.0 * (
+            theta_route_integrated_tail(SIGN_CHEB_4096, x, 3)
+        )
 
 
 # ---------------------------------------------------------------------------
-# Integrated tails: the two routes
+# Integrated tails, against the theta-domain route of conftest
 # ---------------------------------------------------------------------------
 
 def test_single_mode_integral_against_the_antiderivative():
     # int_{-1}^{0} T_5 = -1/6 from the exact antiderivative
     s = single_mode(5)
-    vx = integrated_chebyshev_tail(s, 0.0, ChebyshevTailConfig(n=1, path="x_domain"))
-    vt = integrated_chebyshev_tail(s, 0.0, ChebyshevTailConfig(n=1, path="theta_domain"))
-    vb = integrated_chebyshev_tail(s, 0.0, ChebyshevTailConfig(n=1, path="both"))
+    vx = integrated_chebyshev_tail(s, 0.0, ChebyshevTailConfig(n=1))
+    vt = theta_route_integrated_tail(s, 0.0, 1)
     assert vx == -1.0 / 6.0
     assert vt == -0.16666666666666669
-    assert vb == vx
+    assert routes_agree(vx, vt)
 
 
 def test_first_mode_integral_is_exact():
     # int_{-1}^{x} T_1 = (x^2 - 1)/2; n = 1 exercises the special-cased mode
     s = single_mode(1)
     for x, want in ((-0.7, -0.255), (0.2, -0.48), (0.9, -0.09499999999999997)):
-        vx = integrated_chebyshev_tail(s, x, ChebyshevTailConfig(n=1, path="x_domain"))
-        vt = integrated_chebyshev_tail(s, x, ChebyshevTailConfig(n=1, path="theta_domain"))
+        vx = integrated_chebyshev_tail(s, x, ChebyshevTailConfig(n=1))
+        vt = theta_route_integrated_tail(s, x, 1)
         assert vx == want
         assert abs(vt - want) <= 5e-16
 
@@ -161,17 +159,10 @@ def test_routes_agree_on_random_series():
         c = tuple(rng.uniform(-1, 1) / (1 + j) ** 2 for j in range(K + 1))
         s = ChebyshevSeries(K, c, provenance="synthetic")
         x = rng.uniform(-0.95, 0.95)
-        vx = integrated_chebyshev_tail(s, x, ChebyshevTailConfig(n=n, path="x_domain"))
-        vt = integrated_chebyshev_tail(s, x, ChebyshevTailConfig(n=n, path="theta_domain"))
+        vx = integrated_chebyshev_tail(s, x, ChebyshevTailConfig(n=n))
+        vt = theta_route_integrated_tail(s, x, n)
         worst = max(worst, abs(vx - vt))
     assert worst <= 1e-12
-
-
-def test_both_mode_raises_when_the_tolerance_is_unmeetable():
-    s = single_mode(5)
-    cfg = ChebyshevTailConfig(n=1, path="both", agreement_tol=1e-18)
-    with pytest.raises(AccuracyError, match="paths disagree"):
-        integrated_chebyshev_tail(s, 0.0, cfg)
 
 
 # ---------------------------------------------------------------------------

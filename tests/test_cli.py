@@ -147,6 +147,23 @@ def test_a_zero_or_empty_flag_is_an_error_not_a_default(capsys, saw_spec, comman
         assert err == f"error: {flag[:-1]} is an empty list\n"
 
 
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [
+        ("detect", "--points", "1,,2"),
+        ("detect", "--points", "1,2,"),
+        ("detect", "--n-list", "10,,20"),
+        ("variation", "--densities", "64, ,128"),
+    ],
+)
+def test_an_empty_entry_inside_a_list_is_an_error_not_a_shorter_list(
+    capsys, saw_spec, command, flag, text
+):
+    rc, out, err = run_cli(capsys, "--command", command, "--input", saw_spec, f"{flag}={text}")
+    assert (rc, out) == (1, "")
+    assert err.splitlines()[-1] == f"specjump: error: argument {flag}: empty entry in {text!r}"
+
+
 @pytest.mark.parametrize("point", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "command, flags",
@@ -481,6 +498,28 @@ def test_diagnose_partial_sums_want_exactly_one_point(capsys, saw_spec):
     )
     assert rc == 0
     assert out.splitlines()[1] != "10,1.0,3.141592653589793"
+
+
+@pytest.mark.parametrize(
+    "check, flag",
+    [
+        ("v2", "--points=0"),
+        ("v2", "--grid=5"),
+        ("parseval", "--points=0"),
+        ("parseval", "--grid=5"),
+        ("sawtooth_bound", "--points=0"),
+        ("sawtooth_bound", "--grid=5"),
+        ("sn", "--grid=5"),
+    ],
+)
+def test_diagnose_rejects_a_location_flag_its_check_ignores(capsys, saw_spec, check, flag):
+    rc, out, err = run_cli(
+        capsys,
+        "--command", "diagnose", "--input", saw_spec,
+        "--check", check, "--n-list", "2,4", flag,
+    )
+    assert (rc, out) == (1, "")
+    assert err == f"error: --check {check} does not use {flag.split('=')[0]}\n"
 
 
 def test_diagnose_sawtooth_bound(capsys, saw_spec):

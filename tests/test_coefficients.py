@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 import specjump as sj
+from specjump import coefficients
 from specjump.coefficients import (
     A_k,
     _CF_CHUNK,
@@ -108,12 +109,6 @@ def test_k_must_be_positive():
         fourier_coefficients(f, 0)
 
 
-def test_closed_form_rejects_non_polynomial_pieces():
-    f = sj.parse_function_spec("domain [-pi, pi] periodic; piece exp(x)")
-    with pytest.raises(ValueError, match="polynomial pieces of degree <= 3"):
-        fourier_coefficients(f, 4, quad="closed_form")
-
-
 # ---------------------------------------------------------------------------
 # Fourier coefficients of the canonical functions
 # ---------------------------------------------------------------------------
@@ -148,11 +143,19 @@ def test_sign_coefficients_odd_harmonics_only():
             assert s.b[k - 1] == 0.0
 
 
-def test_quadrature_agrees_with_closed_form():
+def _by_quadrature(monkeypatch, build, f, K):
+    """build(f, K) with the closed forms switched off: the quadrature oracle
+    for polynomial pieces."""
+    with monkeypatch.context() as m:
+        m.setattr(coefficients, "_closed_form_polys", lambda f: None)
+        return build(f, K)
+
+
+def test_quadrature_agrees_with_closed_form(monkeypatch):
     f = sj.parse_function_spec(SAWTOOTH_SPEC)
     for K in (64, 4096):  # 4096 is the CLI default for quadrature
-        q = fourier_coefficients(f, K, quad="quadrature")
-        c = fourier_coefficients(f, K, quad="closed_form")
+        q = _by_quadrature(monkeypatch, fourier_coefficients, f, K)
+        c = fourier_coefficients(f, K)
         assert q.provenance == "quadrature"
         assert c.provenance == "closed_form"
         for p, r in zip(np.concatenate((q.a, q.b)), np.concatenate((c.a, c.b))):
@@ -249,7 +252,7 @@ f = sj.parse_function_spec(
     "domain [-pi, pi] periodic; piece exp(x/3)*sin(x) on [-pi, 0); "
     "piece x^3 - x^2 + cos(2*x) on (0, pi]"
 )
-q = fourier_coefficients(f, 160, quad="quadrature")
+q = fourier_coefficients(f, 160)
 print(np.concatenate(([q.a0_half], q.a, q.b)).tobytes().hex())
 print(repr(sawtooth_tail_bound_check((5,))))
 """
@@ -424,10 +427,11 @@ def test_sign_chebyshev_closed_form_alternating_law():
     assert max(abs(s.c[k]) for k in range(0, 600, 2)) <= 1e-15
 
 
-def test_chebyshev_quadrature_agrees_with_closed_form():
+def test_chebyshev_quadrature_agrees_with_closed_form(monkeypatch):
     f = sj.parse_function_spec(SIGN_X_SPEC)
-    q = chebyshev_coefficients(f, 32, quad="quadrature")
-    c = chebyshev_coefficients(f, 32, quad="closed_form")
+    q = _by_quadrature(monkeypatch, chebyshev_coefficients, f, 32)
+    c = chebyshev_coefficients(f, 32)
+    assert (q.provenance, c.provenance) == ("quadrature", "closed_form")
     assert max(abs(p - r) for p, r in zip(q.c, c.c)) <= 1e-10
 
 
@@ -548,14 +552,12 @@ def test_public_values_are_python_floats():
         for label, s in _series_three_ways("chebyshev").items():
             got.append(("chebyshev_tail", label, sj.chebyshev_tail(s, 0.5, Cfg(n=10))))
             for n in (1, 10):
-                for path in ("x_domain", "theta_domain"):
-                    cfg = Cfg(n=n, path=path)
-                    tail = sj.integrated_chebyshev_tail(s, 0.5, cfg)
-                    e = sj.jump_from_chebyshev(s, 0.5, cfg)
-                    assert e.remainder_bound is None
-                    got.append((f"integrated_chebyshev_tail n={n} {path}", label, tail))
-                    got.append((f"jump_from_chebyshev n={n} {path}", label, e.value))
-    assert len(got) == 3 * 14 + 3 * 9
+                tail = sj.integrated_chebyshev_tail(s, 0.5, Cfg(n=n))
+                e = sj.jump_from_chebyshev(s, 0.5, Cfg(n=n))
+                assert e.remainder_bound is None
+                got.append((f"integrated_chebyshev_tail n={n}", label, tail))
+                got.append((f"jump_from_chebyshev n={n}", label, e.value))
+    assert len(got) == 3 * 14 + 3 * 5
     assert [(what, label, type(v).__name__) for what, label, v in got if type(v) is not float] == []
 
 
