@@ -104,16 +104,16 @@ def integrated_chebyshev_tail(
     n, K = cfg.n, _resolve_K(series, cfg)
     c = series.c
     value = 0.0
+    # K >= n >= 1 (from _resolve_K) and m >= 2
     m = max(n, 2)
-    if n <= 1 and K >= 1:
+    if n <= 1:
         value += float(c[1]) * (x * x - 1.0) / 2.0
     if m <= K:
         D = np.zeros(K + 2)
         js = np.arange(m + 1, K + 2, dtype=float)
         D[m + 1 : K + 2] += c[m : K + 1] / (2.0 * js)
-        if m - 1 <= K - 1:
-            js = np.arange(max(m - 1, 1), K, dtype=float)
-            D[max(m - 1, 1) : K] -= c[max(m - 1, 1) + 1 : K + 1] / (2.0 * js)
+        js = np.arange(m - 1, K, dtype=float)
+        D[m - 1 : K] -= c[m : K + 1] / (2.0 * js)
         ks = np.arange(m, K + 1, dtype=float)
         signs = np.where(np.arange(m, K + 1) % 2 == 0, 1.0, -1.0)
         const = math.fsum((-c[m : K + 1] * signs / (ks**2 - 1.0)).tolist())

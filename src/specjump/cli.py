@@ -67,21 +67,25 @@ class _ValidationError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Everything one invocation needs; the flag parser fills one of these."""
+    """Everything one invocation needs; the flag parser fills one of these.
+
+    None means not given: method and alpha then read as fejer and 1.0 where
+    detect and table use them, and fmt as csv for tables.
+    """
 
     command: str
     input: Optional[str] = None
-    method: str = "fejer"
+    method: Optional[str] = None
     basis: str = "auto"  # auto | fourier | chebyshev
     r: Optional[int] = None
-    alpha: float = 1.0
+    alpha: Optional[float] = None
     n0: int = 25
     nmax: int = 400
     points: Optional[list[float]] = None
     grid: Optional[int] = None
     K_cap: Optional[int] = None
     out: Optional[str] = None
-    fmt: str = "csv"
+    fmt: Optional[str] = None
     strict: bool = False
     check: str = "v2"
     n_list: Optional[list[int]] = None
@@ -125,17 +129,21 @@ def _n_schedule(config: RunConfig) -> list[int]:
     return ns
 
 
+def _method(config: RunConfig) -> str:
+    return config.method or "fejer"
+
+
 def _resolve_basis(config: RunConfig, series) -> str:
-    basis = config.basis
+    method, basis = _method(config), config.basis
     if basis == "auto":
-        if isinstance(series, ChebyshevSeries) or config.method == "chebyshev":
+        if isinstance(series, ChebyshevSeries) or method == "chebyshev":
             basis = "chebyshev"
         else:
             basis = "fourier"
-    if config.method == "chebyshev" and basis != "chebyshev":
+    if method == "chebyshev" and basis != "chebyshev":
         raise _ValidationError("--method chebyshev requires --basis chebyshev")
-    if config.method != "chebyshev" and basis == "chebyshev":
-        raise _ValidationError(f"--method {config.method} requires Fourier coefficients")
+    if method != "chebyshev" and basis == "chebyshev":
+        raise _ValidationError(f"--method {method} requires Fourier coefficients")
     return basis
 
 
@@ -195,11 +203,12 @@ def _true_jump(f, x: float) -> float:
 
 
 def _estimator(config: RunConfig, series, basis: str):
-    method = config.method
+    method = _method(config)
     if method == "fejer":
         return lambda x, n: fejer_jump(series, x, n)
     if method == "cesaro":
-        return lambda x, n: cesaro_jump(series, x, config.alpha, n)
+        alpha = 1.0 if config.alpha is None else config.alpha
+        return lambda x, n: cesaro_jump(series, x, alpha, n)
     if method in ("integrated", "conjugate"):
         conjugate = method == "conjugate"
         jump = jump_from_conjugate if conjugate else jump_from_integrated
@@ -234,13 +243,16 @@ def _flag_divergence(x: float, estimates: Sequence[float]) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_coeffs(config: RunConfig) -> str:
+    if config.fmt == "csv":
+        raise _ValidationError("coeffs writes series JSON; it has no --format csv")
     f, series = _load(config)
-    if series is None:
-        basis = "chebyshev" if config.basis == "chebyshev" else "fourier"
+    if series is not None:
+        # a given --basis must match the series, as it must for detect
+        series = _series_for(config, f, series, config.basis, 0)
+    else:
         K = config.K_cap if config.K_cap is not None else 1000
-        series = (
-            chebyshev_coefficients(f, K) if basis == "chebyshev" else fourier_coefficients(f, K)
-        )
+        build = chebyshev_coefficients if config.basis == "chebyshev" else fourier_coefficients
+        series = build(f, K)
     return series_to_json(series) + "\n"
 
 
@@ -282,9 +294,10 @@ def _cmd_table(config: RunConfig) -> str:
     truth = _true_jump(f, x)
     ests = [estimator(x, n) for n in ns]
     _flag_divergence(x, [e.value for e in ests])
-    if config.method in ("fejer", "cesaro"):
+    method = _method(config)
+    if method in ("fejer", "cesaro"):
         rows = [
-            (n, config.method, e.alpha, e.value, truth, abs(e.value - truth))
+            (n, method, e.alpha, e.value, truth, abs(e.value - truth))
             for n, e in zip(ns, ests)
         ]
         headers = ("n", "method", "alpha", "estimate", "true_jump", "abs_error")
@@ -372,8 +385,10 @@ def _cmd_diagnose(config: RunConfig) -> str:
     # only sn reads a location, and only from --points
     if config.points is not None and config.check != "sn":
         raise _ValidationError(f"--check {config.check} does not use --points")
-    if config.grid is not None:
-        raise _ValidationError(f"--check {config.check} does not use --grid")
+    for flag, value in (("--grid", config.grid), ("--method", config.method),
+                        ("--r", config.r), ("--alpha", config.alpha)):
+        if value is not None:
+            raise _ValidationError(f"--check {config.check} does not use {flag}")
     if config.check == "sawtooth_bound":
         sups = chebmod.sawtooth_tail_bound_check(ns)
         return _table_text(config, ("n", "sup_n_times_tail"), list(zip(ns, sups)))
@@ -458,7 +473,7 @@ def run(config: RunConfig) -> int:
     if config.command not in handlers:
         print(f"error: unknown command {config.command!r}", file=sys.stderr)
         return 1
-    if config.method not in _METHODS:
+    if config.method is not None and config.method not in _METHODS:
         print(f"error: unknown method {config.method!r}", file=sys.stderr)
         return 1
     # None means not given; an empty list is an error, as it is on the command line

@@ -10,6 +10,7 @@ so a stored series is trustworthy to the tolerance baked in here.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -208,39 +209,41 @@ def _int_tm_trig(m: int, t: float, s, c, ks, k2, k3, k4) -> tuple:
 _CF_CHUNK = 1 << 16
 
 
+def _closed_form_sums(polys, ks: np.ndarray, table, rows: int) -> np.ndarray:
+    """sum over pieces i and monomials j of polys[i][j] (F[j, i + 1] - F[j, i])
+    at the frequencies ks: the chunk loop both closed forms share.
+
+    table(chunk, uses) maps each (j, edge index) in uses to the antiderivative
+    of the j-th basis function at that edge, over a chunk of at most
+    _CF_CHUNK frequencies, as a tuple of `rows` arrays; the sums have one row
+    each.  Neighbouring pieces share an edge, so a chunk evaluates each
+    antiderivative once per (j, edge) it uses.
+    """
+    terms = [(c, j, i, i + 1) for i, p in enumerate(polys) for j, c in enumerate(p) if c != 0.0]
+    uses = {(j, i) for _, j, lo, hi in terms for i in (lo, hi)}
+    out = np.zeros((rows, len(ks)))
+    for start in range(0, len(ks), _CF_CHUNK):
+        F = table(ks[start : start + _CF_CHUNK], uses)
+        for c, j, lo, hi in terms:
+            for acc, up, down in zip(out[:, start : start + _CF_CHUNK], F[j, hi], F[j, lo]):
+                acc += c * (up - down)
+    return out
+
+
 def _closed_form_fourier(polys, edges, K: int) -> FourierSeries:
     period = edges[-1] - edges[0]
-    half = period / 2.0
     mean_terms = []
     for p, (lo, hi) in zip(polys, zip(edges, edges[1:])):
         anti = [0.0] + [c / (m + 1) for m, c in enumerate(p)]
         mean_terms.append(_poly_eval(anti, hi) - _poly_eval(anti, lo))
     a0_half = math.fsum(mean_terms) / period
-    # (c, m, index of lo, index of hi): neighbouring pieces share an edge, so
-    # each chunk evaluates an antiderivative once per (m, edge) it uses
-    terms = [
-        (c, m, i, i + 1)
-        for i, p in enumerate(polys)
-        for m, c in enumerate(p)
-        if c != 0.0
-    ]
-    uses = {(m, i) for _, m, lo, hi in terms for i in (lo, hi)}
-    a = np.zeros(K)
-    b = np.zeros(K)
-    for start in range(0, K, _CF_CHUNK):
-        stop = min(start + _CF_CHUNK, K)
-        ks = np.arange(start + 1, stop + 1, dtype=float)
+
+    def table(ks, uses):
         powers = (ks, ks**2, ks**3, ks**4)
         trig = [(np.sin(ks * t), np.cos(ks * t)) for t in edges]
-        F = {(m, i): _int_tm_trig(m, edges[i], *trig[i], *powers) for m, i in uses}
-        acc_a = np.zeros(len(ks))
-        acc_b = np.zeros(len(ks))
-        for c, m, lo, hi in terms:
-            (cos_hi, sin_hi), (cos_lo, sin_lo) = F[m, hi], F[m, lo]
-            acc_a += c * (cos_hi - cos_lo)
-            acc_b += c * (sin_hi - sin_lo)
-        a[start:stop] = acc_a / half
-        b[start:stop] = acc_b / half
+        return {(m, i): _int_tm_trig(m, edges[i], *trig[i], *powers) for m, i in uses}
+
+    a, b = _closed_form_sums(polys, np.arange(1.0, K + 1), table, 2) / (period / 2.0)
     return FourierSeries(K, a0_half, a, b, provenance="closed_form")
 
 
@@ -273,23 +276,11 @@ def _closed_form_chebyshev(polys, edges, K: int) -> ChebyshevSeries:
     # theta-side breakpoints: theta = arccos(x), descending x maps to ascending theta
     thetas = [math.acos(max(-1.0, min(1.0, x))) for x in reversed(edges)]
     qs = [_poly_to_cos_poly(p) for p in reversed(polys)]
-    # (coef, j, index of lo, index of hi) into thetas, as in the Fourier case
-    terms = [
-        (coef, j, i, i + 1)
-        for i, q in enumerate(qs)
-        for j, coef in enumerate(q)
-        if coef != 0.0
-    ]
-    uses = {(j, i) for _, j, lo, hi in terms for i in (lo, hi)}
-    c = np.zeros(K + 1)
-    for start in range(0, K + 1, _CF_CHUNK):
-        stop = min(start + _CF_CHUNK, K + 1)
-        ks = np.arange(start, stop, dtype=float)
-        F = {(j, i): _int_cos_cos(j, ks, thetas[i]) for j, i in uses}
-        acc = np.zeros(len(ks))
-        for coef, j, lo, hi in terms:
-            acc += coef * (F[j, hi] - F[j, lo])
-        c[start:stop] = acc * (2.0 / math.pi)
+
+    def table(ks, uses):
+        return {(j, i): (_int_cos_cos(j, ks, thetas[i]),) for j, i in uses}
+
+    (c,) = _closed_form_sums(qs, np.arange(K + 1.0), table, 1) * (2.0 / math.pi)
     c[0] /= 2.0
     return ChebyshevSeries(K, c, provenance="closed_form")
 
@@ -299,18 +290,6 @@ def _closed_form_chebyshev(polys, edges, K: int) -> ChebyshevSeries:
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def _panel_nodes(edges, panels_per_piece):
-    """Nodes and weights for a composite 16-point GL rule on each piece."""
-    xs, ws = [], []
-    for (lo, hi), n_panels in zip(zip(edges, edges[1:]), panels_per_piece):
-        bounds = np.linspace(lo, hi, n_panels + 1)
-        for a, b in zip(bounds, bounds[1:]):
-            mid, rad = (a + b) / 2.0, (b - a) / 2.0
-            xs.append(mid + rad * _GL_NODES)
-            ws.append(rad * _GL_WEIGHTS)
-    return np.concatenate(xs), np.concatenate(ws)
 
 
 # 2 pi in three parts of 27, 25 and 53 bits (Cody-Waite): q times either of
@@ -354,10 +333,9 @@ def _cis_minus(theta: np.ndarray) -> np.ndarray:
     return np.cos(theta) - 1j * np.sin(theta)
 
 
-def _piece_values(number: int, expr, nodes: np.ndarray, x_of=None) -> np.ndarray:
-    """The piece's expression at x_of(nodes) (the nodes themselves when x_of is
-    None); raises ValueError naming the piece if any value is not finite."""
-    xs = nodes if x_of is None else x_of(nodes)
+def _piece_values(number: int, expr, xs: np.ndarray) -> np.ndarray:
+    """Piece number `number`, expression expr, at the points xs; raises
+    ValueError naming the piece and the x value if any value is not finite."""
     out = eval_expr_array(expr, xs)
     bad = ~np.isfinite(out)
     if bad.any():
@@ -368,13 +346,14 @@ def _piece_values(number: int, expr, nodes: np.ndarray, x_of=None) -> np.ndarray
     return out
 
 
-def _panel_sums(edges, pieces, K: int, panels, x_of=None) -> np.ndarray:
-    """S[k] = sum w f(x) exp(-ikx), k = 0..K, over one composite 16-point
-    Gauss-Legendre rule: panels[i] uniform panels on piece i, which is
-    pieces[i] = (number, expr) on edges[i]..edges[i + 1].  S[0] is the plain
-    sum of w f(x).
+def _panel_sums(edges, integrands, K: int, panels) -> np.ndarray:
+    """S[k] = sum w g(x) exp(-ikx), k = 0..K, over one composite 16-point
+    Gauss-Legendre rule: panels[i] uniform panels on the sub-interval
+    edges[i]..edges[i + 1], where the integrand is integrands[i], a callable
+    from an array of nodes to the array of its values there.  S[0] is the
+    plain sum of w g(x); K = 0 gives just that integral.
 
-    Piece [lo, hi] with P panels of width 2h has nodes
+    Sub-interval [lo, hi] with P panels of width 2h has nodes
     x = lo + h (2p + 1 + t_j), weights h w_j, for p < P and the 16 offsets
     t_j.  So for each j, S is exp(-ik(lo + h(1 + t_j))) times the chirp-z
     transform sum_p G[j, p] exp(-2ihkp), which Bluestein's identity
@@ -387,7 +366,7 @@ def _panel_sums(edges, pieces, K: int, panels, x_of=None) -> np.ndarray:
     ks = np.arange(K + 1.0)
     out = np.zeros(K + 1, dtype=complex)
     total = 0.0
-    for (lo, hi), P, (number, expr) in zip(zip(edges, edges[1:]), panels, pieces):
+    for (lo, hi), P, g_of in zip(zip(edges, edges[1:]), panels, integrands):
         h = (hi - lo) / (2.0 * P)
         n = np.arange(max(P, K + 1), dtype=float)
         chirp = _cis_minus(_phase(h, n * n))
@@ -399,7 +378,7 @@ def _panel_sums(edges, pieces, K: int, panels, x_of=None) -> np.ndarray:
         twice_p = 2.0 * np.arange(P, dtype=float)
         piece = np.zeros(K + 1, dtype=complex)
         for t, w in zip(_GL_NODES, _GL_WEIGHTS):
-            g = (h * w) * _piece_values(number, expr, lo + h * (twice_p + (1.0 + t)), x_of)
+            g = (h * w) * g_of(lo + h * (twice_p + (1.0 + t)))
             total += float(np.sum(g))
             conv = np.fft.ifft(np.fft.fft(g * chirp[:P], size) * kernel)[: K + 1]
             piece += conv * _cis_minus(_phase(lo + h * (1.0 + t), ks))
@@ -416,14 +395,16 @@ def _closed_form_polys(f: PiecewiseFunction) -> Optional[list[list[float]]]:
     return polys if all(p is not None and len(p) <= 4 for p in polys) else None
 
 
-def _doubled_quadrature(edges, pieces, K: int, coefficients, basis: str, x_of=None) -> tuple:
-    """Panel doubling shared by both bases.
+def _doubled_quadrature(edges, integrands, K: int, coefficients, basis: str) -> tuple:
+    """Panel doubling shared by both bases and the increment check; basis
+    names the caller in errors.
 
     coefficients(S) turns the _panel_sums of one composite rule on edges into
-    a tuple of coefficient arrays.  The panel counts start near 8 panels per
-    period of cos(K t) and double until no entry moves by _DOUBLING_TOL or
-    more; at most _MAX_DOUBLINGS doublings, then AccuracyError.  A rule of
-    more than _MAX_RULE_NODES nodes raises AccuracyError before it is run.
+    a tuple of coefficient arrays or scalars.  The panel counts start near 8
+    panels per period of cos(K t) (at least 2 per sub-interval) and double
+    until no entry moves by _DOUBLING_TOL or more; at most _MAX_DOUBLINGS
+    doublings, then AccuracyError.  A rule of more than _MAX_RULE_NODES nodes
+    raises AccuracyError before it is run.
     """
     base = [
         max(2, int(math.ceil(K * (hi - lo) / (2.0 * math.pi) * 2)))
@@ -438,7 +419,7 @@ def _doubled_quadrature(edges, pieces, K: int, coefficients, basis: str, x_of=No
                 f"{basis} quadrature stopped after {attempt} doublings: its next "
                 f"panel rule needs {nodes} nodes, more than the cap of {_MAX_RULE_NODES}"
             )
-        cur = coefficients(_panel_sums(edges, pieces, K, panels, x_of))
+        cur = coefficients(_panel_sums(edges, integrands, K, panels))
         if prev is not None:
             delta = max(float(np.max(np.abs(c - p))) for c, p in zip(cur, prev))
             if delta < _DOUBLING_TOL:
@@ -471,9 +452,8 @@ def fourier_coefficients(f: PiecewiseFunction, K: int) -> FourierSeries:
         # S[k] = sum w f (cos kx - i sin kx)
         return S[0].real / (2.0 * period_half), S.real[1:] / period_half, -S.imag[1:] / period_half
 
-    a0_half, a, b = _doubled_quadrature(
-        edges, list(enumerate(f.pieces, 1)), K, coefficients, "Fourier"
-    )
+    integrands = [functools.partial(_piece_values, i, e) for i, e in enumerate(f.pieces, 1)]
+    a0_half, a, b = _doubled_quadrature(edges, integrands, K, coefficients, "Fourier")
     return FourierSeries(K, a0_half, a, b, provenance="quadrature")
 
 
@@ -502,9 +482,11 @@ def chebyshev_coefficients(f: PiecewiseFunction, K: int) -> ChebyshevSeries:
         c[0] /= 2.0
         return (c,)
 
-    (c,) = _doubled_quadrature(
-        theta_edges, list(enumerate(f.pieces, 1))[::-1], K, coefficients, "Chebyshev", np.cos
-    )
+    # the pieces in theta order, each evaluated at x = cos(theta)
+    integrands = [
+        lambda t, i=i, e=e: _piece_values(i, e, np.cos(t)) for i, e in enumerate(f.pieces, 1)
+    ][::-1]
+    (c,) = _doubled_quadrature(theta_edges, integrands, K, coefficients, "Chebyshev")
     return ChebyshevSeries(K, c, provenance="quadrature")
 
 

@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coefficients import A_k, AccuracyError, FourierSeries, _panel_nodes
-from .funcspec import PiecewiseFunction, evaluate
+from .coefficients import A_k, AccuracyError, FourierSeries, _doubled_quadrature, _piece_values
+from .funcspec import PiecewiseFunction, _piece_index, _wrap
 
 __all__ = [
     "PrecisionWarning",
@@ -94,13 +94,11 @@ def _resolve_K(series: FourierSeries, n: int, cfg: Optional[TailSumConfig]) -> i
     return K
 
 
-def _tail_sum(a: np.ndarray, b: Optional[np.ndarray], x0: float, n: int, power: int) -> float:
+def _tail_sum(a: np.ndarray, b: np.ndarray, x0: float, n: int, power: int) -> float:
     """fsum of (a_k sin k x0 - b_k cos k x0) / k^power over k = n, n+1, ...;
-    the arrays a, b start at k = n, and b=None stands for all b_k = 0."""
+    the arrays a, b start at k = n."""
     ks = np.arange(n, n + len(a), dtype=float)
-    A = a * np.sin(ks * x0)
-    if b is not None:
-        A = A - b * np.cos(ks * x0)
+    A = a * np.sin(ks * x0) - b * np.cos(ks * x0)
     return math.fsum((A / ks**power).tolist())
 
 
@@ -240,20 +238,18 @@ def v2_tail_diagnostic(series: FourierSeries, n_values: Sequence[int]) -> list[f
     return out
 
 
-_PARSEVAL_TOL = 1e-12
-_PARSEVAL_MAX_DOUBLINGS = 10
-
-
 def parseval_increment_check(
     f: PiecewiseFunction, series: FourierSeries, n: int
 ) -> tuple[float, float]:
     """Both sides of the shifted-increment identity
     (1/pi) integral [f(x + pi/n) - f(x)]^2 dx = 4 sum rho_m^2 sin^2(m pi / 2n).
 
-    lhs by panelled Gauss-Legendre quadrature split at every point where x or
-    x + pi/n crosses a breakpoint; rhs from the stored coefficients plus a
-    modeled correction for the discarded tail (rho_m ~ rho* K / m decay with
-    sin^2 averaging to 1/2, contributing 2 rho*^2 K).
+    lhs by the coefficient quadrature engine at K = 0 (its panel doubling,
+    tolerance, doubling cap and work bound; AccuracyError names the
+    "increment" quadrature), on sub-intervals split at every point where x
+    or x + pi/n crosses a breakpoint; rhs from the stored coefficients plus
+    a modeled correction for the discarded tail (rho_m ~ rho* K / m decay
+    with sin^2 averaging to 1/2, contributing 2 rho*^2 K).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -277,17 +273,20 @@ def parseval_increment_check(
         crossings.add(back)
     edges = sorted({lo, hi} | {c for c in crossings if lo < c < hi})
 
-    def g(x: float) -> float:
-        return (evaluate(f, x + h) - evaluate(f, x)) ** 2
-
-    base = [max(2, int(math.ceil((b - a) / (period / 16)))) for a, b in zip(edges, edges[1:])]
-    prev = None
-    for attempt in range(_PARSEVAL_MAX_DOUBLINGS + 1):
-        mult = 2**attempt
-        xs, ws = _panel_nodes(edges, [p * mult for p in base])
-        total = math.fsum((float(w) * g(float(x)) for x, w in zip(xs, ws)))
-        lhs = total / math.pi
-        if prev is not None and abs(lhs - prev) < _PARSEVAL_TOL:
-            return lhs, rhs
-        prev = lhs
-    raise AccuracyError("increment quadrature did not converge under panel doubling")
+    # on each sub-interval x lies in piece p and x + h in piece q, reached
+    # at x + s with s = h, or h - 2 pi where x + h wraps past hi
+    integrands = []
+    for a, b in zip(edges, edges[1:]):
+        mid = (a + b) / 2.0
+        s = h if mid + h < hi else h - period
+        p, q = _piece_index(f, mid), _piece_index(f, _wrap(f, mid + h))
+        integrands.append(
+            lambda x, p=p, q=q, s=s: (
+                _piece_values(q + 1, f.pieces[q], x + s) - _piece_values(p + 1, f.pieces[p], x)
+            )
+            ** 2
+        )
+    (lhs,) = _doubled_quadrature(
+        edges, integrands, 0, lambda S: (S[0].real / math.pi,), "increment"
+    )
+    return float(lhs), rhs

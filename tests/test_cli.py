@@ -11,7 +11,7 @@ import pytest
 import specjump
 from specjump import cli
 from specjump.cli import main
-from specjump.coefficients import FourierSeries, series_to_json
+from specjump.coefficients import FourierSeries, sawtooth_series, series_to_json
 
 from conftest import SAWTOOTH_SPEC, SIGN_SPEC
 
@@ -467,8 +467,8 @@ def test_diagnose_parseval(capsys, saw_spec):
     assert rc == 0
     lines = out.strip().splitlines()
     assert lines[0] == "n,lhs,rhs,abs_diff"
-    assert lines[1] == "2,3.701101650408509,3.7011016504085097,8.881784197001252e-16"
-    assert lines[2] == "4,2.158975962738297,2.158975962738298,8.881784197001252e-16"
+    assert lines[1] == "2,3.70110165040851,3.7011016504085097,4.440892098500626e-16"
+    assert lines[2] == "4,2.158975962738296,2.158975962738298,1.7763568394002505e-15"
 
 
 def test_diagnose_partial_sums(capsys, saw_spec):
@@ -520,6 +520,35 @@ def test_diagnose_rejects_a_location_flag_its_check_ignores(capsys, saw_spec, ch
     )
     assert (rc, out) == (1, "")
     assert err == f"error: --check {check} does not use {flag.split('=')[0]}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("diagnose", "JSON", "--check", "v2", "--method", "chebyshev"),
+         "--check v2 does not use --method"),
+        (("diagnose", "JSON", "--check", "v2", "--method", "fejer"),
+         "--check v2 does not use --method"),
+        (("diagnose", "JSON", "--check", "v2", "--r", "3", "--alpha", "0.5"),
+         "--check v2 does not use --r"),
+        (("diagnose", "JSON", "--check", "sn", "--alpha", "0.5"),
+         "--check sn does not use --alpha"),
+        (("diagnose", "SAW", "--check", "parseval", "--r", "1"),
+         "--check parseval does not use --r"),
+        (("coeffs", "SAW", "--format", "csv"),
+         "coeffs writes series JSON; it has no --format csv"),
+        (("coeffs", "JSON", "--basis", "chebyshev"),
+         "input series is not a Chebyshev series"),
+    ],
+)
+def test_flags_a_command_does_not_use_exit_1(capsys, tmp_path, saw_spec, argv, message):
+    # given flags that would be silently ignored are errors, not no-ops
+    saw_json = tmp_path / "saw.json"
+    saw_json.write_text(series_to_json(sawtooth_series(64)), encoding="utf-8")
+    command, source, *flags = argv
+    source = saw_spec if source == "SAW" else str(saw_json)
+    rc, out, err = run_cli(capsys, "--command", command, "--input", source, *flags)
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_diagnose_sawtooth_bound(capsys, saw_spec):

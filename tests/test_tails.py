@@ -6,10 +6,16 @@ import random
 import warnings
 
 import pytest
+from scipy.integrate import quad
 from scipy.special import zeta
 
 import specjump as sj
-from specjump.coefficients import FourierSeries, fourier_coefficients, sawtooth_series
+from specjump.coefficients import (
+    AccuracyError,
+    FourierSeries,
+    fourier_coefficients,
+    sawtooth_series,
+)
 from specjump.tails import (
     JumpEstimate,
     PrecisionWarning,
@@ -307,3 +313,28 @@ def test_parseval_sign_increments():
         lhs, rhs = parseval_increment_check(f, s, n)
         assert math.isclose(lhs, lhs_pin, rel_tol=1e-12)
         assert abs(lhs - rhs) <= 1e-4 * lhs
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_parseval_lhs_matches_scipy_quad(n):
+    # scipy's adaptive QAGS, split at the kinks of the increment, is an
+    # oracle independent of the panel-doubled Gauss-Legendre engine
+    f = sj.parse_function_spec(
+        "domain [-pi, pi] periodic; "
+        "piece exp(x/3)*sin(x) on [-pi, 0); piece cos(2*x) - x on (0, pi]"
+    )
+    h = math.pi / n
+    integral, _ = quad(
+        lambda x: (sj.evaluate(f, x + h) - sj.evaluate(f, x)) ** 2,
+        -math.pi, math.pi, points=[-h, 0.0, math.pi - h],
+        epsabs=1e-14, epsrel=1e-13, limit=200,
+    )
+    lhs, _ = parseval_increment_check(f, sawtooth_series(8), n)
+    assert math.isclose(lhs, integral / math.pi, rel_tol=1e-12)
+
+
+def test_parseval_cusp_stops_at_the_quadrature_doubling_cap():
+    # sqrt(|x|) has a cusp inside its piece, so no panel rule settles
+    f = sj.parse_function_spec("domain [-pi, pi] periodic; piece sqrt(abs(x))")
+    with pytest.raises(AccuracyError, match="increment quadrature .* after 8 doublings"):
+        parseval_increment_check(f, sawtooth_series(8), 2)
