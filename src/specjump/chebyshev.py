@@ -11,7 +11,9 @@ integrate by parts, reuse the trigonometric tail sum) as its oracle.
 from __future__ import annotations
 
 import math
+import struct
 import warnings
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -91,14 +93,37 @@ def chebyshev_tail(series: ChebyshevSeries, x: float, cfg: ChebyshevTailConfig) 
     return value
 
 
+# one entry, series -> (K, upper D, {m: constant}, x bits, {j: Clenshaw state})
+_SHARED = weakref.WeakKeyDictionary()
+
+
+def _swept(up: memoryview, states: dict, x: float, lo: int) -> tuple:
+    """The Clenshaw state (c0, c1) after up[lo:], resumed from the lowest saved
+    state at an index >= lo; saves one every 4096 indices, and at lo."""
+    j = min(i for i in list(states) if i >= lo)  # list() copies while others may add
+    c0, c1 = states[j]
+    x2 = 2 * x
+    while j > lo:
+        j, stop = max(lo, (j - 1) // 4096 * 4096), j
+        for ck in up[j:stop][::-1]:
+            c0, c1 = ck - c1, c0 + c1 * x2
+        states[j] = (c0, c1)
+    return c0, c1
+
+
 def integrated_chebyshev_tail(
     series: ChebyshevSeries, x: float, cfg: ChebyshevTailConfig
 ) -> float:
     """Integral from -1 to x of the Chebyshev tail sum_{k=n}^{K_cap} c_k T_k,
-    via one antiderivative Chebyshev expansion summed by Clenshaw.
+    via one antiderivative Chebyshev expansion D summed by Clenshaw.
 
     int T_k = [T_{k+1}/(k+1) - T_{k-1}/(k-1)]/2 - (-1)^k/(k^2-1) for k >= 2
     (constants fixed so the value at -1 is zero); int T_1 = (T_2 - 1)/4.
+
+    With m = max(n, 2), D[i] for i >= m + 1 does not depend on m.  _SHARED
+    keeps those entries, each m's constant and the last x's Clenshaw states
+    every 4096 indices: a later n resumes from the lowest state above m and
+    ends on its own D[m], D[m - 1] and zeros, the operations of one sweep.
     """
     _check_x(x)
     n, K = cfg.n, _resolve_K(series, cfg)
@@ -109,15 +134,29 @@ def integrated_chebyshev_tail(
     if n <= 1:
         value += float(c[1]) * (x * x - 1.0) / 2.0
     if m <= K:
-        D = np.zeros(K + 2)
-        js = np.arange(m + 1, K + 2, dtype=float)
-        D[m + 1 : K + 2] += c[m : K + 1] / (2.0 * js)
-        js = np.arange(m - 1, K, dtype=float)
-        D[m - 1 : K] -= c[m : K + 1] / (2.0 * js)
-        ks = np.arange(m, K + 1, dtype=float)
-        signs = np.where(np.arange(m, K + 1) % 2 == 0, 1.0, -1.0)
-        const = math.fsum((-c[m : K + 1] * signs / (ks**2 - 1.0)).tolist())
-        value += _clenshaw(D.tolist(), x) + const
+        bits, entry = struct.pack("<d", x), _SHARED.get(series)  # read once
+        if entry is None or entry[0] != K:
+            entry = _SHARED.clear()  # None: the old entry is dropped before the new one is built
+            # D[i] = (0.0 + c[i-1]/(2i)) - c[i+1]/(2i), no subtraction past K - 1,
+            # is the same for every m <= i - 1, so it is kept from i = 3 on
+            js = np.arange(3, K + 2, dtype=float)
+            up = np.zeros(K + 2)
+            up[3:] += c[2 : K + 1] / (2.0 * js)
+            up[3:K] -= c[4 : K + 1] / (2.0 * js[: K - 3])
+            entry = (K, memoryview(up), {}, None, None)  # items are Python floats
+        if entry[3] != bits:  # the states of one x at a time, from D[K], D[K + 1]
+            entry = _SHARED[series] = entry[:3] + (bits, {K: tuple(entry[1][K:])})
+        _, up, consts, _, states = entry
+        # _clenshaw starts from its list's last two entries: the state after D[m + 1:],
+        # or at m = K, D[K] = 0.0 and D[K + 1]
+        top = ([0.0 - float(c[m + 1]) / (2.0 * m), *_swept(up, states, x, m + 1)]
+               if m < K else [0.0, up[K + 1]])
+        if m not in consts:
+            ks = np.arange(m, K + 1, dtype=float)
+            signs = np.where(np.arange(m, K + 1) % 2 == 0, 1.0, -1.0)
+            consts[m] = math.fsum((-c[m : K + 1] * signs / (ks**2 - 1.0)).tolist())
+        low = [0.0] * (m - 1) + [0.0 - float(c[m]) / (2.0 * (m - 1))]
+        value += _clenshaw(low + top, x) + consts[m]
     return value
 
 

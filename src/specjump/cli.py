@@ -222,6 +222,13 @@ def _estimator(config: RunConfig, series, basis: str):
     )
 
 
+def _unused(what: str, **flags) -> None:
+    """Rejects the first flag given (not None) that `what` does not read."""
+    for flag, value in flags.items():
+        if value is not None:
+            raise _ValidationError(f"{what} does not use --{flag}")
+
+
 def _flag_divergence(x: float, estimates: Sequence[float]) -> None:
     mags = [abs(v) for v in estimates]
     if len(mags) < 3 or mags[0] <= 0.0 or mags[-1] < 1e-9:
@@ -245,8 +252,10 @@ def _flag_divergence(x: float, estimates: Sequence[float]) -> None:
 def _cmd_coeffs(config: RunConfig) -> str:
     if config.fmt == "csv":
         raise _ValidationError("coeffs writes series JSON; it has no --format csv")
+    _unused("coeffs", method=config.method, r=config.r, alpha=config.alpha)
     f, series = _load(config)
     if series is not None:
+        _unused("coeffs on a series input", Kcap=config.K_cap)
         # a given --basis must match the series, as it must for detect
         series = _series_for(config, f, series, config.basis, 0)
     else:
@@ -258,8 +267,12 @@ def _cmd_coeffs(config: RunConfig) -> str:
 
 def _jump_setup(config: RunConfig):
     """The set-up detect and table share, in the order its errors surface:
-    input, basis, n-schedule, series, schedule against K, estimator, points.
-    Returns (f, ns, estimator, points)."""
+    flags the method does not read, input, basis, n-schedule, series,
+    schedule against K, estimator, points.  Returns (f, ns, estimator, points)."""
+    method = _method(config)
+    _unused(f"--method {method}",
+            r=None if method in ("integrated", "conjugate") else config.r,
+            alpha=None if method == "cesaro" else config.alpha)
     f, series_in = _load(config)
     basis = _resolve_basis(config, series_in)
     ns = _n_schedule(config)
@@ -385,10 +398,8 @@ def _cmd_diagnose(config: RunConfig) -> str:
     # only sn reads a location, and only from --points
     if config.points is not None and config.check != "sn":
         raise _ValidationError(f"--check {config.check} does not use --points")
-    for flag, value in (("--grid", config.grid), ("--method", config.method),
-                        ("--r", config.r), ("--alpha", config.alpha)):
-        if value is not None:
-            raise _ValidationError(f"--check {config.check} does not use {flag}")
+    _unused(f"--check {config.check}", grid=config.grid, method=config.method,
+            r=config.r, alpha=config.alpha)
     if config.check == "sawtooth_bound":
         sups = chebmod.sawtooth_tail_bound_check(ns)
         return _table_text(config, ("n", "sup_n_times_tail"), list(zip(ns, sups)))

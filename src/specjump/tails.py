@@ -16,7 +16,9 @@ and contain no constant term.
 from __future__ import annotations
 
 import math
+import struct
 import warnings
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -94,12 +96,8 @@ def _resolve_K(series: FourierSeries, n: int, cfg: Optional[TailSumConfig]) -> i
     return K
 
 
-def _tail_sum(a: np.ndarray, b: np.ndarray, x0: float, n: int, power: int) -> float:
-    """fsum of (a_k sin k x0 - b_k cos k x0) / k^power over k = n, n+1, ...;
-    the arrays a, b start at k = n."""
-    ks = np.arange(n, n + len(a), dtype=float)
-    A = a * np.sin(ks * x0) - b * np.cos(ks * x0)
-    return math.fsum((A / ks**power).tolist())
+# one entry, series -> ((x0 bits, p, K), lo, terms for k = lo..K); it dies with its series
+_TERMS = weakref.WeakKeyDictionary()
 
 
 def _window(values: np.ndarray, K: int) -> np.ndarray:
@@ -122,6 +120,11 @@ def _tail(series, x0, r, n, cfg, what: str, conjugate: bool):
     power p = 2r (conjugate) or 2r + 1 (integrated), value
     (-1)^r sum_{k=n}^{K} A_k / k^p and the bound modeled beyond K.
 
+    The terms A_k / k^p do not depend on n: _TERMS keeps those of the last
+    (series, x0, p, K) from the n that built them, lo, and a call with
+    n >= lo fsums them from position n - lo.  A term comes from elementwise
+    IEEE operations on its own k, so fsum sees the terms a build at n gives.
+
     Warns, naming `what`, when the bound exceeds 1% of the value.  Callers
     are the public functions only, so stacklevel 3 names their caller.
     """
@@ -132,7 +135,15 @@ def _tail(series, x0, r, n, cfg, what: str, conjugate: bool):
     p = 2 * r + (0 if conjugate else 1)
     K = _resolve_K(series, n, cfg)
     a, b = series.a[n - 1 : K], series.b[n - 1 : K]
-    raw = _tail_sum(a, b, x0, n, p)
+    # bits, not value, so -0.0 and 0.0 differ; hit is read once
+    key, hit = (struct.pack("<d", x0), p, K), _TERMS.get(series)
+    if hit is None or hit[0] != key or hit[1] > n:
+        hit = _TERMS.clear()  # None: the old terms are dropped before the new ones are built
+        ks = np.arange(n, K + 1, dtype=float)
+        A = a * np.sin(ks * x0) - b * np.cos(ks * x0)
+        # fsum reads a memoryview one Python float at a time; its slices copy nothing
+        hit = _TERMS[series] = (key, n, memoryview(A / ks**p))
+    raw = math.fsum(hit[2][n - hit[1] :])
     value = raw if r % 2 == 0 else -raw
     # sum_{k>K} rho* K / k^(p+1) <= rho* / (p K^(p-1))
     amp = np.hypot(_window(a, K), _window(b, K))

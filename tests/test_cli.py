@@ -539,6 +539,22 @@ def test_diagnose_rejects_a_location_flag_its_check_ignores(capsys, saw_spec, ch
          "coeffs writes series JSON; it has no --format csv"),
         (("coeffs", "JSON", "--basis", "chebyshev"),
          "input series is not a Chebyshev series"),
+        (("detect", "JSON", "--points=0", "--n-list", "10", "--r", "5", "--alpha", "3"),
+         "--method fejer does not use --r"),
+        (("detect", "JSON", "--points=0", "--method", "chebyshev", "--alpha", "3"),
+         "--method chebyshev does not use --alpha"),
+        (("table", "SAW", "--points=0", "--method", "cesaro", "--r", "2"),
+         "--method cesaro does not use --r"),
+        (("detect", "SAW", "--method", "integrated", "--alpha", "2"),
+         "--method integrated does not use --alpha"),
+        (("table", "SAW", "--points=0", "--method", "conjugate", "--r", "1", "--alpha", "2"),
+         "--method conjugate does not use --alpha"),
+        (("coeffs", "JSON", "--Kcap", "3"),
+         "coeffs on a series input does not use --Kcap"),
+        (("coeffs", "SAW", "--method", "integrated", "--r", "2", "--Kcap", "2"),
+         "coeffs does not use --method"),
+        (("coeffs", "SAW", "--r", "2"), "coeffs does not use --r"),
+        (("coeffs", "JSON", "--alpha", "1"), "coeffs does not use --alpha"),
     ],
 )
 def test_flags_a_command_does_not_use_exit_1(capsys, tmp_path, saw_spec, argv, message):
