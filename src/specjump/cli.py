@@ -59,6 +59,7 @@ __all__ = ["RunConfig", "run", "sample_for_variation", "main", "entry"]
 _COMMANDS = ("coeffs", "detect", "table", "variation", "diagnose")
 _METHODS = tuple(m.removesuffix("_tail") for m in _ESTIMATORS)
 _CHECKS = ("v2", "parseval", "sn", "sawtooth_bound")
+_JUMP = ("detect", "table")
 
 
 class _ValidationError(ValueError):
@@ -69,25 +70,25 @@ class _ValidationError(ValueError):
 class RunConfig:
     """Everything one invocation needs; the flag parser fills one of these.
 
-    None means not given: method and alpha then read as fejer and 1.0 where
-    detect and table use them, and fmt as csv for tables.
+    None means not given, for every field; the code that reads a field supplies
+    its default (method fejer, basis auto, n0 25, nmax 400, check v2, alpha 1.0, fmt csv).
     """
 
     command: str
     input: Optional[str] = None
     method: Optional[str] = None
-    basis: str = "auto"  # auto | fourier | chebyshev
+    basis: Optional[str] = None  # auto | fourier | chebyshev
     r: Optional[int] = None
     alpha: Optional[float] = None
-    n0: int = 25
-    nmax: int = 400
+    n0: Optional[int] = None
+    nmax: Optional[int] = None
     points: Optional[list[float]] = None
     grid: Optional[int] = None
     K_cap: Optional[int] = None
     out: Optional[str] = None
     fmt: Optional[str] = None
     strict: bool = False
-    check: str = "v2"
+    check: Optional[str] = None
     n_list: Optional[list[int]] = None
     densities: Optional[list[int]] = None
 
@@ -114,27 +115,28 @@ def _load(config: RunConfig):
 def _n_schedule(config: RunConfig) -> list[int]:
     if config.n_list is not None:
         ns = list(config.n_list)
+        for other in ("n0", "nmax"):
+            if getattr(config, other) is not None:
+                raise _ValidationError(f"give --n-list or --{other}, not both")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise _ValidationError("--n-list must be strictly increasing")
         if ns[0] < 1:
             raise _ValidationError("n values must be >= 1")
         return ns
-    if config.n0 < 1:
+    n0 = 25 if config.n0 is None else config.n0
+    nmax = 400 if config.nmax is None else config.nmax
+    if n0 < 1:
         raise _ValidationError("--n0 must be >= 1")
-    if config.nmax < config.n0:
+    if nmax < n0:
         raise _ValidationError("--nmax must be >= --n0")
-    ns = [config.n0]
-    while ns[-1] * 2 <= config.nmax:
+    ns = [n0]
+    while ns[-1] * 2 <= nmax:
         ns.append(ns[-1] * 2)
     return ns
 
 
-def _method(config: RunConfig) -> str:
-    return config.method or "fejer"
-
-
 def _resolve_basis(config: RunConfig, series) -> str:
-    method, basis = _method(config), config.basis
+    method, basis = config.method or "fejer", config.basis or "auto"
     if basis == "auto":
         if isinstance(series, ChebyshevSeries) or method == "chebyshev":
             basis = "chebyshev"
@@ -156,8 +158,11 @@ def _default_K(f: PiecewiseFunction, config: RunConfig, nmax: int) -> int:
     return max(4096, 4 * nmax)
 
 
-def _series_for(config: RunConfig, f, series, basis: str, nmax: int):
+def _series_for(config: RunConfig, f, series, basis: Optional[str], nmax: int):
     if series is not None:
+        # a stored series keeps its own K; only the tail sums read another cutoff
+        if config.K_cap not in (None, series.K) and config.method in (None, "fejer", "cesaro"):
+            raise _ValidationError(f"{_reader(config)} on a series input does not use --Kcap")
         if basis == "chebyshev" and not isinstance(series, ChebyshevSeries):
             raise _ValidationError("input series is not a Chebyshev series")
         if basis == "fourier" and not isinstance(series, FourierSeries):
@@ -170,6 +175,8 @@ def _series_for(config: RunConfig, f, series, basis: str, nmax: int):
 
 
 def _eval_points(config: RunConfig, f, series, basis: str) -> list[float]:
+    if config.points is not None and config.grid is not None:
+        raise _ValidationError("give --points or --grid, not both")
     if config.points is not None:
         pts = sorted(set(config.points))
     elif config.grid is not None:
@@ -203,7 +210,7 @@ def _true_jump(f, x: float) -> float:
 
 
 def _estimator(config: RunConfig, series, basis: str):
-    method = _method(config)
+    method = config.method or "fejer"
     if method == "fejer":
         return lambda x, n: fejer_jump(series, x, n)
     if method == "cesaro":
@@ -220,13 +227,6 @@ def _estimator(config: RunConfig, series, basis: str):
     return lambda x, n: chebmod.jump_from_chebyshev(
         series, x, chebmod.ChebyshevTailConfig(n=n, K_cap=config.K_cap)
     )
-
-
-def _unused(what: str, **flags) -> None:
-    """Rejects the first flag given (not None) that `what` does not read."""
-    for flag, value in flags.items():
-        if value is not None:
-            raise _ValidationError(f"{what} does not use --{flag}")
 
 
 def _flag_divergence(x: float, estimates: Sequence[float]) -> None:
@@ -252,10 +252,8 @@ def _flag_divergence(x: float, estimates: Sequence[float]) -> None:
 def _cmd_coeffs(config: RunConfig) -> str:
     if config.fmt == "csv":
         raise _ValidationError("coeffs writes series JSON; it has no --format csv")
-    _unused("coeffs", method=config.method, r=config.r, alpha=config.alpha)
     f, series = _load(config)
     if series is not None:
-        _unused("coeffs on a series input", Kcap=config.K_cap)
         # a given --basis must match the series, as it must for detect
         series = _series_for(config, f, series, config.basis, 0)
     else:
@@ -267,12 +265,8 @@ def _cmd_coeffs(config: RunConfig) -> str:
 
 def _jump_setup(config: RunConfig):
     """The set-up detect and table share, in the order its errors surface:
-    flags the method does not read, input, basis, n-schedule, series,
-    schedule against K, estimator, points.  Returns (f, ns, estimator, points)."""
-    method = _method(config)
-    _unused(f"--method {method}",
-            r=None if method in ("integrated", "conjugate") else config.r,
-            alpha=None if method == "cesaro" else config.alpha)
+    input, basis, n-schedule, series, schedule against K, estimator, points.
+    Returns (f, ns, estimator, points)."""
     f, series_in = _load(config)
     basis = _resolve_basis(config, series_in)
     ns = _n_schedule(config)
@@ -307,7 +301,7 @@ def _cmd_table(config: RunConfig) -> str:
     truth = _true_jump(f, x)
     ests = [estimator(x, n) for n in ns]
     _flag_divergence(x, [e.value for e in ests])
-    method = _method(config)
+    method = config.method or "fejer"
     if method in ("fejer", "cesaro"):
         rows = [
             (n, method, e.alpha, e.value, truth, abs(e.value - truth))
@@ -395,20 +389,16 @@ def _cmd_variation(config: RunConfig) -> str:
 
 def _cmd_diagnose(config: RunConfig) -> str:
     ns = config.n_list if config.n_list is not None else [10, 100, 1000]
-    # only sn reads a location, and only from --points
-    if config.points is not None and config.check != "sn":
-        raise _ValidationError(f"--check {config.check} does not use --points")
-    _unused(f"--check {config.check}", grid=config.grid, method=config.method,
-            r=config.r, alpha=config.alpha)
-    if config.check == "sawtooth_bound":
+    check = config.check or "v2"
+    if check == "sawtooth_bound":
         sups = chebmod.sawtooth_tail_bound_check(ns)
         return _table_text(config, ("n", "sup_n_times_tail"), list(zip(ns, sups)))
     f, series_in = _load(config)
-    if config.check == "v2":
+    if check == "v2":
         series = _series_for(config, f, series_in, "fourier", max(ns))
         u = v2_tail_diagnostic(series, ns)
         return _table_text(config, ("n", "u_n"), list(zip(ns, u)))
-    if config.check == "sn":
+    if check == "sn":
         if config.points is not None and len(set(config.points)) != 1:
             raise _ValidationError("--check sn reports one location; give exactly one point")
         x = 0.0 if config.points is None else config.points[0]
@@ -472,34 +462,44 @@ def _table_text(config: RunConfig, headers, rows) -> str:
 # Entry points
 # ---------------------------------------------------------------------------
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit status."""
-    handlers = {
-        "coeffs": _cmd_coeffs,
-        "detect": _cmd_detect,
-        "table": _cmd_table,
-        "variation": _cmd_variation,
-        "diagnose": _cmd_diagnose,
-    }
-    if config.command not in handlers:
-        print(f"error: unknown command {config.command!r}", file=sys.stderr)
-        return 1
+def _reader(config: RunConfig) -> str:
+    """What reads the flags: the selector of detect, table and diagnose, else the command."""
+    if config.command == "diagnose":
+        return f"--check {config.check or 'v2'}"
+    return f"--method {config.method or 'fejer'}" if config.command in _JUMP else config.command
+
+
+def _check(config: RunConfig) -> None:
+    """Rejects an unknown command or method, an empty list, a non-finite point,
+    then the first flag (in _FLAGS order) given to what does not read it."""
+    if config.command not in _COMMANDS:
+        raise _ValidationError(f"unknown command {config.command!r}")
     if config.method is not None and config.method not in _METHODS:
-        print(f"error: unknown method {config.method!r}", file=sys.stderr)
-        return 1
+        raise _ValidationError(f"unknown method {config.method!r}")
     # None means not given; an empty list is an error, as it is on the command line
     for flag, values in (("--points", config.points), ("--n-list", config.n_list),
                          ("--densities", config.densities)):
         if values is not None and not values:
-            print(f"error: {flag} is an empty list", file=sys.stderr)
-            return 1
+            raise _ValidationError(f"{flag} is an empty list")
     bad = [x for x in config.points or () if not math.isfinite(x)]
     if bad:
-        print(f"error: --points must be finite, got {bad[0]!r}", file=sys.stderr)
-        return 1
+        raise _ValidationError(f"--points must be finite, got {bad[0]!r}")
+    reader = _reader(config)
+    for option, kwargs, readers in _FLAGS:
+        if readers is None or config.command in readers or reader in readers:
+            continue
+        if getattr(config, kwargs.get("dest", option[2:])) is not None:
+            raise _ValidationError(f"{reader} does not use {option}")
+
+
+def run(config: RunConfig) -> int:
+    """Execute one command; returns the process exit status."""
+    handlers = {"coeffs": _cmd_coeffs, "detect": _cmd_detect, "table": _cmd_table,
+                "variation": _cmd_variation, "diagnose": _cmd_diagnose}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
+            _check(config)
             text = handlers[config.command](config)
         except _ValidationError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -541,6 +541,33 @@ def _int_list(text: str) -> list[int]:
     return _list(text, int)
 
 
+# (option, argparse keywords, readers), in the order run() checks them: readers
+# names commands and "--method m" or "--check c" selectors; None is every command.
+_FLAGS = (
+    ("--input", dict(help="function-spec file or series JSON file"), None),
+    ("--command", dict(required=True, choices=_COMMANDS), None),
+    ("--method", dict(choices=_METHODS), _JUMP),
+    ("--basis", dict(choices=("auto", "fourier", "chebyshev")), ("coeffs", *_JUMP)),
+    ("--r", dict(type=int, help="integration order"),
+     ("--method integrated", "--method conjugate")),
+    ("--alpha", dict(type=float, help="Cesaro order"), ("--method cesaro",)),
+    ("--n0", dict(type=int, help="n-schedule start"), _JUMP),
+    ("--nmax", dict(type=int, help="n-schedule cap (doubling)"), _JUMP),
+    ("--points", dict(type=_float_list, help="comma-separated x values"),
+     (*_JUMP, "--check sn")),
+    ("--grid", dict(type=int, help="uniform x-grid size"), _JUMP),
+    ("--Kcap", dict(type=int, dest="K_cap", help="coefficient cutoff"),
+     ("coeffs", *_JUMP, "--check v2", "--check parseval", "--check sn")),
+    ("--out", dict(help="output path (default stdout)"), None),
+    ("--format", dict(choices=("csv", "json"), dest="fmt"), None),
+    ("--strict", dict(action="store_true", help="precision warnings exit 2"), None),
+    ("--check", dict(choices=_CHECKS, help="diagnose selector"), ("diagnose",)),
+    ("--n-list", dict(type=_int_list, dest="n_list", help="explicit n values"),
+     (*_JUMP, "diagnose")),
+    ("--densities", dict(type=_int_list, help="variation grid densities"), ("variation",)),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # RunConfig holds every default: a flag not given stays out of the namespace
     p = argparse.ArgumentParser(
@@ -548,23 +575,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Jump detection and variation analysis from coefficient data.",
         argument_default=argparse.SUPPRESS,
     )
-    p.add_argument("--input", help="function-spec file or series JSON file")
-    p.add_argument("--command", required=True, choices=_COMMANDS)
-    p.add_argument("--method", choices=_METHODS)
-    p.add_argument("--basis", choices=("auto", "fourier", "chebyshev"))
-    p.add_argument("--r", type=int, help="integration order")
-    p.add_argument("--alpha", type=float, help="Cesaro order")
-    p.add_argument("--n0", type=int, help="n-schedule start")
-    p.add_argument("--nmax", type=int, help="n-schedule cap (doubling)")
-    p.add_argument("--points", type=_float_list, help="comma-separated x values")
-    p.add_argument("--grid", type=int, help="uniform x-grid size")
-    p.add_argument("--Kcap", type=int, dest="K_cap", help="coefficient cutoff")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), dest="fmt")
-    p.add_argument("--strict", action="store_true", help="precision warnings exit 2")
-    p.add_argument("--check", choices=_CHECKS, help="diagnose selector")
-    p.add_argument("--n-list", type=_int_list, dest="n_list", help="explicit n values")
-    p.add_argument("--densities", type=_int_list, help="variation grid densities")
+    for option, kwargs, _ in _FLAGS:
+        p.add_argument(option, **kwargs)
     return p
 
 
