@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coefficients import ChebyshevSeries
-from .tails import JumpEstimate, PrecisionWarning, _window, _window_sup
+from .tails import JumpEstimate, PrecisionWarning, _SuffixSums, _window, _window_sup
 
 __all__ = [
     "ChebyshevTailConfig",
@@ -93,7 +93,7 @@ def chebyshev_tail(series: ChebyshevSeries, x: float, cfg: ChebyshevTailConfig) 
     return value
 
 
-# one entry, series -> (K, upper D, {m: constant}, x bits, {j: Clenshaw state})
+# one entry, series -> (K, upper D, constant suffix sums, x bits, {j: Clenshaw state})
 _SHARED = weakref.WeakKeyDictionary()
 
 
@@ -120,10 +120,12 @@ def integrated_chebyshev_tail(
     int T_k = [T_{k+1}/(k+1) - T_{k-1}/(k-1)]/2 - (-1)^k/(k^2-1) for k >= 2
     (constants fixed so the value at -1 is zero); int T_1 = (T_2 - 1)/4.
 
-    With m = max(n, 2), D[i] for i >= m + 1 does not depend on m.  _SHARED
-    keeps those entries, each m's constant and the last x's Clenshaw states
-    every 4096 indices: a later n resumes from the lowest state above m and
-    ends on its own D[m], D[m - 1] and zeros, the operations of one sweep.
+    With m = max(n, 2), D[i] for i >= m + 1 does not depend on m, nor do the
+    terms -(-1)^i c_i / (i^2 - 1) of the constant, a sum over i = m..K.
+    _SHARED keeps those entries, the _SuffixSums of those terms and the last
+    x's Clenshaw states every 4096 indices: a later n resumes from the
+    lowest state above m and ends on its own D[m], D[m - 1] and zeros, the
+    operations of one sweep, and reads its constant from position m - 2.
     """
     _check_x(x)
     n, K = cfg.n, _resolve_K(series, cfg)
@@ -143,7 +145,10 @@ def integrated_chebyshev_tail(
             up = np.zeros(K + 2)
             up[3:] += c[2 : K + 1] / (2.0 * js)
             up[3:K] -= c[4 : K + 1] / (2.0 * js[: K - 3])
-            entry = (K, memoryview(up), {}, None, None)  # items are Python floats
+            ks = np.arange(2, K + 1, dtype=float)
+            signs = np.where(np.arange(2, K + 1) % 2 == 0, 1.0, -1.0)
+            consts = _SuffixSums(-c[2 : K + 1] * signs / (ks**2 - 1.0))
+            entry = (K, memoryview(up), consts, None, None)  # items are Python floats
         if entry[3] != bits:  # the states of one x at a time, from D[K], D[K + 1]
             entry = _SHARED[series] = entry[:3] + (bits, {K: tuple(entry[1][K:])})
         _, up, consts, _, states = entry
@@ -151,12 +156,8 @@ def integrated_chebyshev_tail(
         # or at m = K, D[K] = 0.0 and D[K + 1]
         top = ([0.0 - float(c[m + 1]) / (2.0 * m), *_swept(up, states, x, m + 1)]
                if m < K else [0.0, up[K + 1]])
-        if m not in consts:
-            ks = np.arange(m, K + 1, dtype=float)
-            signs = np.where(np.arange(m, K + 1) % 2 == 0, 1.0, -1.0)
-            consts[m] = math.fsum((-c[m : K + 1] * signs / (ks**2 - 1.0)).tolist())
         low = [0.0] * (m - 1) + [0.0 - float(c[m]) / (2.0 * (m - 1))]
-        value += _clenshaw(low + top, x) + consts[m]
+        value += _clenshaw(low + top, x) + consts.sum_from(m - 2)
     return value
 
 

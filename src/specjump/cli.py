@@ -266,7 +266,8 @@ def _cmd_coeffs(config: RunConfig) -> str:
 def _jump_setup(config: RunConfig):
     """The set-up detect and table share, in the order its errors surface:
     input, basis, n-schedule, series, schedule against K, estimator, points.
-    Returns (f, ns, estimator, points)."""
+    Returns (f, ns, estimator, points); the estimator rejects a non-finite
+    estimate, naming its x and n."""
     f, series_in = _load(config)
     basis = _resolve_basis(config, series_in)
     ns = _n_schedule(config)
@@ -277,7 +278,14 @@ def _jump_setup(config: RunConfig):
             "coefficients"
         )
     estimator = _estimator(config, series, basis)
-    return f, ns, estimator, _eval_points(config, f, series_in, basis)
+
+    def finite(x: float, n: int):
+        est = estimator(x, n)
+        if not math.isfinite(est.value):
+            raise _ValidationError(f"the estimate at x={x!r}, n={n} is {est.value!r}, not finite")
+        return est
+
+    return f, ns, finite, _eval_points(config, f, series_in, basis)
 
 
 def _cmd_detect(config: RunConfig) -> str:

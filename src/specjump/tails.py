@@ -96,7 +96,87 @@ def _resolve_K(series: FourierSeries, n: int, cfg: Optional[TailSumConfig]) -> i
     return K
 
 
-# one entry, series -> ((x0 bits, p, K), lo, terms for k = lo..K); it dies with its series
+_BLOCK = 4096  # terms per block: a block's bin sums stay below 2^39, exact in float64
+
+
+def _split(terms: np.ndarray) -> tuple:
+    """(e, hi, lo) with terms = (hi 2^27 + lo) 2^(e - 53) elementwise: hi and
+    lo are the integers of the top 26 and the low 27 bits of the mantissa,
+    held exactly as floats (scaling by 2^26 and 2^27 and taking the fraction
+    of m 2^26 round nothing)."""
+    m, e = np.frexp(terms)
+    m *= 2.0**26
+    hi = np.trunc(m)
+    m -= hi
+    m *= 2.0**27
+    return e, hi, m
+
+
+class _SuffixSums:
+    """The exact sum of terms[s:], rounded once, for any start s.
+
+    A Kulisch-style long accumulator (Neal, arXiv:1505.05571): each term's
+    two integer halves are binned by its binary exponent.  The build adds
+    the bins of every block of _BLOCK terms with np.bincount and keeps their
+    suffix sums over the blocks, exact in int64.  A call adds the suffix row
+    of the first whole block at or after s to the bins of the fewer than
+    _BLOCK head terms before it, shifts the bins into one Python int and
+    divides once; int / int rounds correctly, ties to even.
+
+    So the result is math.fsum's wherever fsum returns one: +0.0 for an exact
+    zero, nan for a nan term, +-inf for infinite terms of one sign and
+    ValueError for both signs.  Where fsum raises OverflowError on an
+    intermediate sum, the exact sum is returned if it is finite: only a sum
+    that rounds past the float range raises OverflowError.
+    """
+
+    def __init__(self, terms: np.ndarray):
+        terms = np.asarray(terms, dtype=float)
+        bad = ~np.isfinite(terms)
+        # non-finite terms decide the result alone: kept aside, binned as zeros
+        self._odd = (np.flatnonzero(bad), terms[bad]) if bad.any() else None
+        self._terms = terms if self._odd is None else np.where(bad, 0.0, terms)
+        e, hi, lo = _split(self._terms)
+        self._emin = int(e.min(initial=0))
+        self._bins = int(e.max(initial=0)) - self._emin + 1
+        blocks = -(-len(terms) // _BLOCK)
+        cells = np.repeat(np.arange(blocks) * self._bins, _BLOCK)[: len(terms)]
+        cells += e - self._emin
+        # row j holds the bins of blocks j, j + 1, ...; row `blocks` is zero
+        self._rows = [
+            np.cumsum(
+                np.bincount(cells, half, (blocks + 1) * self._bins)
+                .astype(np.int64)
+                .reshape(blocks + 1, self._bins)[::-1],
+                axis=0,
+            )[::-1]
+            for half in (hi, lo)
+        ]
+
+    def sum_from(self, s: int) -> float:
+        """The sum of terms[s:], for 0 <= s <= len(terms)."""
+        if self._odd is not None:
+            odd = self._odd[1][self._odd[0] >= s]
+            if odd.size:
+                if np.isposinf(odd).any() and np.isneginf(odd).any():
+                    raise ValueError("-inf + inf in a sum")
+                return math.nan if np.isnan(odd).any() else float(odd[0])
+        block = -(-s // _BLOCK)
+        e, hi, lo = _split(self._terms[s : block * _BLOCK])
+        his, los = (
+            (rows[block] + np.bincount(e - self._emin, half, self._bins).astype(np.int64))
+            .tolist()[::-1]
+            for rows, half in zip(self._rows, (hi, lo))
+        )
+        total = 0
+        for h, l in zip(his, los):  # Horner over the bins, highest exponent first
+            total = (total << 1) + (h << 27) + l
+        shift = self._emin - 53
+        return float(total << shift) if shift >= 0 else total / (1 << -shift)
+
+
+# one entry, series -> ((x0 bits, p, K), lo, suffix sums of the terms for k = lo..K);
+# it dies with its series
 _TERMS = weakref.WeakKeyDictionary()
 
 
@@ -120,10 +200,11 @@ def _tail(series, x0, r, n, cfg, what: str, conjugate: bool):
     power p = 2r (conjugate) or 2r + 1 (integrated), value
     (-1)^r sum_{k=n}^{K} A_k / k^p and the bound modeled beyond K.
 
-    The terms A_k / k^p do not depend on n: _TERMS keeps those of the last
-    (series, x0, p, K) from the n that built them, lo, and a call with
-    n >= lo fsums them from position n - lo.  A term comes from elementwise
-    IEEE operations on its own k, so fsum sees the terms a build at n gives.
+    The terms A_k / k^p do not depend on n: _TERMS keeps the _SuffixSums of
+    those of the last (series, x0, p, K) from the n that built them, lo, and
+    a call with n >= lo reads the sum from position n - lo.  A term comes
+    from elementwise IEEE operations on its own k, so the sum is over the
+    terms a build at n gives, rounded once as math.fsum rounds.
 
     Warns, naming `what`, when the bound exceeds 1% of the value.  Callers
     are the public functions only, so stacklevel 3 names their caller.
@@ -141,9 +222,8 @@ def _tail(series, x0, r, n, cfg, what: str, conjugate: bool):
         hit = _TERMS.clear()  # None: the old terms are dropped before the new ones are built
         ks = np.arange(n, K + 1, dtype=float)
         A = a * np.sin(ks * x0) - b * np.cos(ks * x0)
-        # fsum reads a memoryview one Python float at a time; its slices copy nothing
-        hit = _TERMS[series] = (key, n, memoryview(A / ks**p))
-    raw = math.fsum(hit[2][n - hit[1] :])
+        hit = _TERMS[series] = (key, n, _SuffixSums(A / ks**p))
+    raw = hit[2].sum_from(n - hit[1])
     value = raw if r % 2 == 0 else -raw
     # sum_{k>K} rho* K / k^(p+1) <= rho* / (p K^(p-1))
     amp = np.hypot(_window(a, K), _window(b, K))
@@ -217,7 +297,7 @@ def s_n_diagnostic(series: FourierSeries, x0: float, n: int) -> float:
     if not (1 <= n <= series.K):
         raise ValueError(f"n={n} outside stored range 1..{series.K}")
     terms = [k * A_k(series, x0, k) for k in range(1, n + 1)]
-    return -(math.fsum(terms) / n)
+    return -(_SuffixSums(terms).sum_from(0) / n)
 
 
 def v2_tail_diagnostic(series: FourierSeries, n_values: Sequence[int]) -> list[float]:
@@ -272,7 +352,7 @@ def parseval_increment_check(
 
     ms = np.arange(1, series.K + 1, dtype=float)
     amp = np.hypot(series.a, series.b)
-    rhs = 4.0 * math.fsum((amp**2 * np.sin(ms * (h / 2.0)) ** 2).tolist())
+    rhs = 4.0 * _SuffixSums(amp**2 * np.sin(ms * (h / 2.0)) ** 2).sum_from(0)
     rhs += 2.0 * _window_sup(amp, series.K) ** 2 * series.K
 
     crossings = set()

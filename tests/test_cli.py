@@ -188,6 +188,30 @@ def test_a_non_finite_point_is_an_error_not_a_nan_row(capsys, tmp_path, point, c
     assert capsys.readouterr() == ("", err)
 
 
+HUGE_FOURIER = {"kind": "fourier", "a0_half": 0.0, "a": [1e308] * 50, "b": [-1e308] * 50}
+
+
+@pytest.mark.parametrize(
+    "method, series",
+    [
+        ("integrated", HUGE_FOURIER),
+        ("conjugate", HUGE_FOURIER),
+        ("chebyshev", {"kind": "chebyshev", "c": [(-1) ** i * 1e308 for i in range(51)]}),
+    ],
+)
+@pytest.mark.parametrize("command", ["detect", "table"])
+def test_a_non_finite_estimate_is_an_error_not_an_inf_row(
+    capsys, tmp_path, method, series, command
+):
+    # coefficients near the float limit: the first estimate, at n = 5, overflows
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"K": 50, "provenance": "unknown", **series}), encoding="utf-8")
+    rc, out, err = run_cli(capsys, "--command", command, "--input", str(path),
+                           "--method", method, "--points=0.5", "--n-list", "5,10")
+    assert (rc, out) == (1, "")
+    assert err == "error: the estimate at x=0.5, n=5 is inf, not finite\n"
+
+
 @pytest.mark.parametrize(
     "command, field, flag",
     [
