@@ -11,7 +11,6 @@ integrate by parts, reuse the trigonometric tail sum) as its oracle.
 from __future__ import annotations
 
 import math
-import struct
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -93,7 +92,7 @@ def chebyshev_tail(series: ChebyshevSeries, x: float, cfg: ChebyshevTailConfig) 
     return value
 
 
-# one entry, series -> (K, upper D, constant suffix sums, x bits, {j: Clenshaw state})
+# one entry, series -> (K, upper D, constant suffix sums, x hex, {j: Clenshaw state})
 _SHARED = weakref.WeakKeyDictionary()
 
 
@@ -136,7 +135,7 @@ def integrated_chebyshev_tail(
     if n <= 1:
         value += float(c[1]) * (x * x - 1.0) / 2.0
     if m <= K:
-        bits, entry = struct.pack("<d", x), _SHARED.get(series)  # read once
+        key, entry = float(x).hex(), _SHARED.get(series)  # hex keeps -0.0 apart from 0.0
         if entry is None or entry[0] != K:
             entry = _SHARED.clear()  # None: the old entry is dropped before the new one is built
             # D[i] = (0.0 + c[i-1]/(2i)) - c[i+1]/(2i), no subtraction past K - 1,
@@ -149,8 +148,8 @@ def integrated_chebyshev_tail(
             signs = np.where(np.arange(2, K + 1) % 2 == 0, 1.0, -1.0)
             consts = _SuffixSums(-c[2 : K + 1] * signs / (ks**2 - 1.0))
             entry = (K, memoryview(up), consts, None, None)  # items are Python floats
-        if entry[3] != bits:  # the states of one x at a time, from D[K], D[K + 1]
-            entry = _SHARED[series] = entry[:3] + (bits, {K: tuple(entry[1][K:])})
+        if entry[3] != key:  # the states of one x at a time, from D[K], D[K + 1]
+            entry = _SHARED[series] = entry[:3] + (key, {K: tuple(entry[1][K:])})
         _, up, consts, _, states = entry
         # _clenshaw starts from its list's last two entries: the state after D[m + 1:],
         # or at m = K, D[K] = 0.0 and D[K + 1]

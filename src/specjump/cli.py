@@ -46,6 +46,7 @@ from .tails import (
     _METHODS as _ESTIMATORS,
     PrecisionWarning,
     TailSumConfig,
+    _resolve_K,
     jump_from_conjugate,
     jump_from_integrated,
     parseval_increment_check,
@@ -209,7 +210,7 @@ def _true_jump(f, x: float) -> float:
     return true_jump(f, x) if f is not None else math.nan
 
 
-def _estimator(config: RunConfig, series, basis: str):
+def _estimator(config: RunConfig, series, basis: str, ns: Sequence[int]):
     method = config.method or "fejer"
     if method == "fejer":
         return lambda x, n: fejer_jump(series, x, n)
@@ -222,6 +223,16 @@ def _estimator(config: RunConfig, series, basis: str):
         # by default the least order each tail admits
         r = config.r if config.r is not None else int(conjugate)
         cfg = TailSumConfig(K_cap=config.K_cap)
+        p = 2 * r + (0 if conjugate else 1)
+        try:  # n^p and K^(p - 1) must be floats; an n past K_cap stops here, its tail says so
+            for n in ns:
+                K = _resolve_K(series, n, cfg)
+                float(n) ** p, float(K) ** (p - 1)
+        except ValueError:
+            pass
+        except OverflowError:
+            msg = f"--r {r} is too large: {n}^{p} or {K}^{p - 1} overflows a float"
+            raise _ValidationError(msg) from None
         return lambda x, n: jump(series, x, r, n, cfg)
     # chebyshev
     return lambda x, n: chebmod.jump_from_chebyshev(
@@ -265,7 +276,7 @@ def _cmd_coeffs(config: RunConfig) -> str:
 
 def _jump_setup(config: RunConfig):
     """The set-up detect and table share, in the order its errors surface:
-    input, basis, n-schedule, series, schedule against K, estimator, points.
+    input, basis, n-schedule, series, schedule against K, estimator and --r, points.
     Returns (f, ns, estimator, points); the estimator rejects a non-finite
     estimate, naming its x and n."""
     f, series_in = _load(config)
@@ -277,7 +288,7 @@ def _jump_setup(config: RunConfig):
             f"n-schedule reaches {ns[-1]} but the series stores only K={series.K} "
             "coefficients"
         )
-    estimator = _estimator(config, series, basis)
+    estimator = _estimator(config, series, basis, ns)
 
     def finite(x: float, n: int):
         est = estimator(x, n)

@@ -73,6 +73,8 @@ class _Series:
     unequal; the hash reads only K and provenance, which equal series share."""
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if type(other) is not type(self):
             return NotImplemented
         pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))

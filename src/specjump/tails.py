@@ -16,7 +16,6 @@ and contain no constant term.
 from __future__ import annotations
 
 import math
-import struct
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -96,7 +95,7 @@ def _resolve_K(series: FourierSeries, n: int, cfg: Optional[TailSumConfig]) -> i
     return K
 
 
-_BLOCK = 4096  # terms per block: a block's bin sums stay below 2^39, exact in float64
+_BLOCK = 1 << 26  # terms per np.bincount: 27-bit halves times 2^26 terms stay below 2^53, exact
 
 
 def _split(terms: np.ndarray) -> tuple:
@@ -116,12 +115,10 @@ class _SuffixSums:
     """The exact sum of terms[s:], rounded once, for any start s.
 
     A Kulisch-style long accumulator (Neal, arXiv:1505.05571): each term's
-    two integer halves are binned by its binary exponent.  The build adds
-    the bins of every block of _BLOCK terms with np.bincount and keeps their
-    suffix sums over the blocks, exact in int64.  A call adds the suffix row
-    of the first whole block at or after s to the bins of the fewer than
-    _BLOCK head terms before it, shifts the bins into one Python int and
-    divides once; int / int rounds correctly, ties to even.
+    two integer halves are binned by its binary exponent.  The build keeps
+    the bins of all terms, exact in int64; a call subtracts the bins of the
+    s head terms, shifts the bins into one Python int and divides once;
+    int / int rounds correctly, ties to even.
 
     So the result is math.fsum's wherever fsum returns one: +0.0 for an exact
     zero, nan for a nan term, +-inf for infinite terms of one sign and
@@ -139,19 +136,18 @@ class _SuffixSums:
         e, hi, lo = _split(self._terms)
         self._emin = int(e.min(initial=0))
         self._bins = int(e.max(initial=0)) - self._emin + 1
-        blocks = -(-len(terms) // _BLOCK)
-        cells = np.repeat(np.arange(blocks) * self._bins, _BLOCK)[: len(terms)]
-        cells += e - self._emin
-        # row j holds the bins of blocks j, j + 1, ...; row `blocks` is zero
-        self._rows = [
-            np.cumsum(
-                np.bincount(cells, half, (blocks + 1) * self._bins)
-                .astype(np.int64)
-                .reshape(blocks + 1, self._bins)[::-1],
-                axis=0,
-            )[::-1]
-            for half in (hi, lo)
-        ]
+        self._total = self._binned(e, hi, lo)
+
+    def _binned(self, e, hi, lo) -> np.ndarray:
+        """The int64 sums of the halves hi and lo in each exponent bin of
+        e, as rows 0 and 1, added by np.bincount _BLOCK terms at a time."""
+        e = e - self._emin
+        out = np.zeros((2, self._bins), dtype=np.int64)
+        for i in range(0, len(e), _BLOCK):
+            chunk = slice(i, i + _BLOCK)
+            for row, half in zip(out, (hi, lo)):
+                row += np.bincount(e[chunk], half[chunk], self._bins).astype(np.int64)
+        return out
 
     def sum_from(self, s: int) -> float:
         """The sum of terms[s:], for 0 <= s <= len(terms)."""
@@ -161,13 +157,7 @@ class _SuffixSums:
                 if np.isposinf(odd).any() and np.isneginf(odd).any():
                     raise ValueError("-inf + inf in a sum")
                 return math.nan if np.isnan(odd).any() else float(odd[0])
-        block = -(-s // _BLOCK)
-        e, hi, lo = _split(self._terms[s : block * _BLOCK])
-        his, los = (
-            (rows[block] + np.bincount(e - self._emin, half, self._bins).astype(np.int64))
-            .tolist()[::-1]
-            for rows, half in zip(self._rows, (hi, lo))
-        )
+        his, los = (self._total - self._binned(*_split(self._terms[:s])))[:, ::-1].tolist()
         total = 0
         for h, l in zip(his, los):  # Horner over the bins, highest exponent first
             total = (total << 1) + (h << 27) + l
@@ -175,8 +165,7 @@ class _SuffixSums:
         return float(total << shift) if shift >= 0 else total / (1 << -shift)
 
 
-# one entry, series -> ((x0 bits, p, K), lo, suffix sums of the terms for k = lo..K);
-# it dies with its series
+# one entry, series -> ((x0 hex, p, K), _SuffixSums of the terms for k = 1..K); dies with it
 _TERMS = weakref.WeakKeyDictionary()
 
 
@@ -201,10 +190,10 @@ def _tail(series, x0, r, n, cfg, what: str, conjugate: bool):
     (-1)^r sum_{k=n}^{K} A_k / k^p and the bound modeled beyond K.
 
     The terms A_k / k^p do not depend on n: _TERMS keeps the _SuffixSums of
-    those of the last (series, x0, p, K) from the n that built them, lo, and
-    a call with n >= lo reads the sum from position n - lo.  A term comes
-    from elementwise IEEE operations on its own k, so the sum is over the
-    terms a build at n gives, rounded once as math.fsum rounds.
+    those for k = 1..K of the last (series, x0, p, K), and a call reads the
+    sum from position n - 1.  A term comes from elementwise IEEE operations
+    on its own k, so the sum is over the terms a build at n gives, rounded
+    once as math.fsum rounds.
 
     Warns, naming `what`, when the bound exceeds 1% of the value.  Callers
     are the public functions only, so stacklevel 3 names their caller.
@@ -215,18 +204,16 @@ def _tail(series, x0, r, n, cfg, what: str, conjugate: bool):
         raise ValueError("r must be a nonnegative integer")
     p = 2 * r + (0 if conjugate else 1)
     K = _resolve_K(series, n, cfg)
-    a, b = series.a[n - 1 : K], series.b[n - 1 : K]
-    # bits, not value, so -0.0 and 0.0 differ; hit is read once
-    key, hit = (struct.pack("<d", x0), p, K), _TERMS.get(series)
-    if hit is None or hit[0] != key or hit[1] > n:
+    key, hit = (float(x0).hex(), p, K), _TERMS.get(series)  # hex keeps -0.0 apart from 0.0
+    if hit is None or hit[0] != key:
         hit = _TERMS.clear()  # None: the old terms are dropped before the new ones are built
-        ks = np.arange(n, K + 1, dtype=float)
-        A = a * np.sin(ks * x0) - b * np.cos(ks * x0)
-        hit = _TERMS[series] = (key, n, _SuffixSums(A / ks**p))
-    raw = hit[2].sum_from(n - hit[1])
+        ks = np.arange(1, K + 1, dtype=float)
+        A = series.a[:K] * np.sin(ks * x0) - series.b[:K] * np.cos(ks * x0)
+        hit = _TERMS[series] = (key, _SuffixSums(A / ks**p))
+    raw = hit[1].sum_from(n - 1)
     value = raw if r % 2 == 0 else -raw
     # sum_{k>K} rho* K / k^(p+1) <= rho* / (p K^(p-1))
-    amp = np.hypot(_window(a, K), _window(b, K))
+    amp = np.hypot(_window(series.a[n - 1 : K], K), _window(series.b[n - 1 : K], K))
     bound = _window_sup(amp, K) / (p * float(K) ** (p - 1))
     if bound > 0.01 * abs(value):
         warnings.warn(

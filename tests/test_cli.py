@@ -5,11 +5,12 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
 import specjump
-from specjump import cli
+from specjump import cli, tails
 from specjump.cli import main
 from specjump.coefficients import FourierSeries, sawtooth_series, series_to_json
 
@@ -291,6 +292,41 @@ def test_arithmetic_failure_exits_1_with_one_error_line(capsys, tmp_path, spec, 
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("method, p", [("integrated", 61), ("conjugate", 60)])
+@pytest.mark.parametrize("command", ["detect", "table"])
+def test_an_r_whose_powers_overflow_exits_1_naming_r(capsys, saw_spec, command, method, p):
+    # at K = 200000, K^(p - 1) overflows a float from r = 30 on; no tail is summed
+    with mock.patch.object(tails, "_tail") as tail:
+        rc, out, err = run_cli(capsys, "--command", command, "--input", saw_spec,
+                               "--method", method, "--r", "30", "--points=1.0", "--nmax", "50")
+    tail.assert_not_called()
+    assert (rc, out) == (1, "")
+    assert err == f"error: --r 30 is too large: 25^{p} or 200000^{p - 1} overflows a float\n"
+
+
+_LARGEST_R_ROWS = {
+    ("detect", "integrated"): "x,n,estimate,true_jump,abs_error\n"
+    "1.0,25,7.774823996003111,0.0,7.774823996003111\n"
+    "1.0,50,4.229676546788785,0.0,4.229676546788785\n",
+    ("detect", "conjugate"): "x,n,estimate,true_jump,abs_error\n"
+    "1.0,25,7.658245949720651,0.0,7.658245949720651\n"
+    "1.0,50,4.164332831143478,0.0,4.164332831143478\n",
+    ("table", "integrated"): "n,r,method,estimate,true_jump,abs_error,remainder_bound\n"
+    "25,29,integrated_tail,7.774823996003111,0.0,7.774823996003111,0.0\n"
+    "50,29,integrated_tail,4.229676546788785,0.0,4.229676546788785,0.0\n",
+    ("table", "conjugate"): "n,r,method,estimate,true_jump,abs_error,remainder_bound\n"
+    "25,29,conjugate_tail,7.658245949720651,0.0,7.658245949720651,1.3119903090624536e-226\n"
+    "50,29,conjugate_tail,4.164332831143478,0.0,4.164332831143478,3.7815546028847155e-209\n",
+}
+
+
+@pytest.mark.parametrize("command, method", list(_LARGEST_R_ROWS))
+def test_the_largest_r_that_fits_prints_its_pinned_rows(capsys, saw_spec, command, method):
+    rc, out, _ = run_cli(capsys, "--command", command, "--input", saw_spec,
+                         "--method", method, "--r", "29", "--points=1.0", "--nmax", "50")
+    assert (rc, out) == (0, _LARGEST_R_ROWS[command, method])
 
 
 @pytest.mark.parametrize(

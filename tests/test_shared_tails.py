@@ -7,6 +7,7 @@ import gc
 import math
 import warnings
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -176,6 +177,44 @@ def test_the_memos_do_not_keep_a_series_alive():
     del fourier, cheb
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+    assert (len(tails._TERMS), len(chebyshev._SHARED)) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "ns", [(400, 200, 100, 50, 25), (50, 50, 50, 100, 100)], ids=["descending", "repeated"]
+)
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_one_point_builds_its_fourier_terms_once_for_any_schedule(ns, conjugate):
+    series, cfg = sj.sawtooth_series(5000), TailSumConfig()
+    tail = conjugate_tail if conjugate else integrated_tail
+    build = tails._SuffixSums.__init__
+    with mock.patch.object(tails._SuffixSums, "__init__", autospec=True, side_effect=build) as init:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PrecisionWarning)
+            got = [tail(series, 1.0, 1, n, cfg) for n in ns]
+    assert init.call_count == 1
+    want = [oracle_fourier_tail(series, 1.0, 1, n, cfg, conjugate) for n in ns]
+    assert all(map(same_bits, got, want)), (got, want)
+
+
+def test_a_memo_lookup_compares_no_arrays():
+    # a lookup finds its series by identity, not by comparing 5000 entries with themselves
+    fourier = sj.sawtooth_series(5000)
+    cheb = ChebyshevSeries(5000, [1.0 / (1 + k) for k in range(5001)])
+    with mock.patch.object(np, "array_equal", wraps=np.array_equal) as compare:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PrecisionWarning)
+            for n in (25, 50, 100):
+                integrated_tail(fourier, 0.5, 0, n)
+                integrated_chebyshev_tail(cheb, 0.5, ChebyshevTailConfig(n=n))
+    assert compare.call_count == 0
+
+
+def test_a_series_holding_nan_equals_itself_and_not_a_copy():
+    for make in (lambda: FourierSeries(2, 0.0, [math.nan, 0.0], [0.0, 1.0]),
+                 lambda: ChebyshevSeries(1, [math.nan, 1.0])):
+        series = make()
+        assert series == series and series != make()
 
 
 # ---------------------------------------------------------------------------
