@@ -262,12 +262,15 @@ def _poly_to_cos_poly(p) -> list[float]:
     return [q0, q1, q2, q3]
 
 
-def _int_cos_cos(j: int, ks: np.ndarray, t: float) -> np.ndarray:
-    """Antiderivative of cos(jt) cos(kt), vectorized over k >= 0, fixed j."""
+def _int_cos_cos(j: int, ks: np.ndarray, t: float, sines: np.ndarray) -> np.ndarray:
+    """Antiderivative of cos(jt) cos(kt) at t, vectorized over k >= 0, fixed
+    j <= 3, from sines[i] = sin((ks[0] - 3 + i) t): both sin((k - j) t) and
+    sin((k + j) t) are slices of that one table."""
     dif = ks - j
     sm = ks + j
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.sin(dif * t) / (2.0 * dif) + np.sin(sm * t) / (2.0 * sm)
+        out = (sines[3 - j : 3 - j + len(ks)] / (2.0 * dif)
+               + sines[3 + j : 3 + j + len(ks)] / (2.0 * sm))
     eq = dif == 0.0
     if eq.any():
         out[eq] = t if j == 0 else t / 2.0 + math.sin(2 * j * t) / (4 * j)
@@ -280,7 +283,10 @@ def _closed_form_chebyshev(polys, edges, K: int) -> ChebyshevSeries:
     qs = [_poly_to_cos_poly(p) for p in reversed(polys)]
 
     def table(ks, uses):
-        return {(j, i): (_int_cos_cos(j, ks, thetas[i]),) for j, i in uses}
+        # m t is the same double as (k -+ j) t, so the bits are those of sin((k -+ j) t)
+        ms = np.arange(ks[0] - 3.0, ks[-1] + 4.0)
+        sines = {i: np.sin(ms * thetas[i]) for i in {i for _, i in uses}}
+        return {(j, i): (_int_cos_cos(j, ks, thetas[i], sines[i]),) for j, i in uses}
 
     (c,) = _closed_form_sums(qs, np.arange(K + 1.0), table, 1) * (2.0 / math.pi)
     c[0] /= 2.0
@@ -554,16 +560,162 @@ def jump_part_series(jumps: list[tuple[float, float]], K: int) -> FourierSeries:
 # Serialization (bit-exact round trips via repr floats)
 # ---------------------------------------------------------------------------
 
-def _json_array(values: np.ndarray) -> str:
-    """values as json.dumps(..., indent=2) lays out a list one level down.
+# The coefficient lists are written as json writes floats, with repr, but in
+# numpy integer arithmetic, so the bytes do not depend on numpy's SIMD level
+# (digit counts also read the exponent of an integer converted to a double,
+# which any rounding leaves right): Schubfach's shortest digits (Giulietti,
+# "The Schubfach way to render doubles", 2020), then repr's layout as
+# little-endian strings in uint64 words.
+_CHUNK = 1 << 14  # values per numpy pass
+_M32 = 0xFFFFFFFF
+_P10 = np.array([10**j for j in range(18)], dtype=np.uint64)
+_G_MIN = -292  # _tables holds 10^k for k = -292..326, all that doubles need
+_ZEROS = 0x3030303030303030  # "00000000"
 
-    The list body comes from json's C encoder, which writes floats as the
-    indenting pure-Python encoder does (repr, NaN, Infinity); no float
-    text holds ", ", so splitting there puts one entry per line."""
+
+@functools.cache
+def _tables() -> tuple:
+    """Tables built at first use (2 ms), not at import, from Python ints:
+    the high and low words of g = floor(10^k / 2^r) + 1 with
+    r = floor(log2 10^k) - 127 for k = -292..326 (10^k as a 128-bit
+    significand, rounded up); repr's suffixes "e-324,\n".."e+308,\n"; the
+    ASCII of 0000..9999; and, in 3-word rows, masks of the first 0..25 bytes."""
+    g = []
+    for k in range(_G_MIN, 327):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        e = num.bit_length() - den.bit_length() - (k < 0)  # floor(log2 10^k)
+        g.append((num << max(127 - e, 0)) // (den << max(e - 127, 0)) + 1)
+    tails = [int.from_bytes(f"e{x:+03d},\n".encode(), "little") for x in range(-324, 309)]
+    i = np.arange(10000, dtype=np.uint64)
+    quads = (i // 1000 | i // 100 % 10 << 8 | i // 10 % 10 << 16 | i % 10 << 24) + 0x30303030
+    low = [[((1 << 8 * n) - 1) >> 64 * w & 2**64 - 1 for n in range(26)] for w in range(3)]
+    words = ([v >> 64 for v in g], [v & 2**64 - 1 for v in g], tails, quads, low)
+    return tuple(np.array(w, dtype=np.uint64) for w in words)
+
+
+def _round_to_odd(g, x):
+    """floor(g x / 2^128), its lowest bit set if bits 64..127 of g x are
+    above 1: Schubfach's rop for g = (a1, a0, b1, b0) in 32-bit limbs, high
+    first, and x < 2^64, with every product of two 32-bit limbs exact."""
+    a1, a0, b1, b0 = g
+    x1, x0 = x >> 32, x & _M32
+    b1x0, b0x1 = b1 * x0, b0 * x1
+    t = (b0 * x0 >> 32) + (b1x0 & _M32) + (b0x1 & _M32)
+    mid = b1 * x1 + (b1x0 >> 32) + (b0x1 >> 32) + (t >> 32)  # high word of (b1, b0) x
+    a0x0, a0x1, a1x0, a1x1 = a0 * x0, a0 * x1, a1 * x0, a1 * x1
+    c0 = (a0x0 & _M32) + (mid & _M32)
+    c1 = (a0x0 >> 32) + (a0x1 & _M32) + (a1x0 & _M32) + (mid >> 32) + (c0 >> 32)
+    c2 = (a0x1 >> 32) + (a1x0 >> 32) + (a1x1 & _M32) + (c1 >> 32)
+    high = ((a1x1 >> 32) + (c2 >> 32) << 32) + (c2 & _M32)
+    return high | ((c1 & _M32 != 0) | (c0 & _M32 > 1))
+
+
+def _shortest(u: np.ndarray) -> tuple:
+    """(d, k) with |x| = d 10^k for the doubles x with bits u: d has the
+    fewest digits that read back to x and is, of those, the nearest (ties
+    to even), as repr picks it.  Infinities and NaNs give garbage.
+
+    Schubfach: for x = c 2^q, k = floor(log10 2^q) makes x's rounding
+    interval 1 to 10 units of 10^k wide, so it holds at most one multiple of
+    10^(k + 1), the shortest if there is one, and else the nearest multiple
+    of 10^k.  lower, vb and upper are its ends and x in units of 10^k / 4,
+    rounded to odd.  Zero gives d = 0.  Unlike Java's version, which keeps
+    two digits, this gives repr's 5e-324 and 1e-323 for c = 1, 2."""
+    e = (u >> 52) & 0x7FF
+    m = u & ((1 << 52) - 1)
+    c = np.where(e > 0, m | (1 << 52), m)
+    q = np.where(e > 0, e.astype(np.int64) - 1075, -1074)
+    closer = (m == 0) & (e > 1)  # the gap below x is half the gap above
+    k = (q * 1262611 - closer * 524031) >> 22  # floor(log10(2^q)), or of 3/4 2^q
+    h = (q + ((-k * 1741647) >> 19) + 1).astype(np.uint64)  # 1..4
+    hi, lo = _tables()[:2]
+    i = -k - _G_MIN
+    g = (hi[i] >> 32, hi[i] & _M32, lo[i] >> 32, lo[i] & _M32)
+    cb = c << 2
+    odd = c & 1
+    lower = _round_to_odd(g, (cb - 2 + closer) << h) + odd
+    vb = _round_to_odd(g, cb << h)
+    upper = _round_to_odd(g, (cb + 2) << h) - odd
+    s = vb >> 2
+    sp = s // 10
+    up_in, wp_in = lower <= sp * 40, sp * 40 + 40 <= upper  # 10 sp, 10 sp + 10
+    u_in, w_in = lower <= s * 4, s * 4 + 4 <= upper  # s, s + 1
+    nearer_up = (vb > s * 4 + 2) | ((vb == s * 4 + 2) & (s & 1 == 1))
+    d = np.where(
+        (s >= 10) & (up_in != wp_in),
+        (sp + wp_in) * 10,
+        s + np.where(u_in != w_in, w_in, nearer_up),
+    )
+    return np.where(c > 0, d, 0), k
+
+
+def _shl(words: np.ndarray, count) -> np.ndarray:
+    """Strings, one word per row and low byte first, moved up by count < 8
+    bytes; count is an int or a uint64 array."""
+    out = words << count * 8
+    out[1:] |= words[:-1] >> 64 - count * 8
+    return out
+
+
+def _repr_lines(u: np.ndarray) -> np.ndarray:
+    """The bytes of "    " + repr(x) + ",\n" for the doubles x with bits u,
+    NaN and +-Infinity spelt as json spells them, with zero bytes between.
+
+    A line is five words: indent and sign; the number's text, up to 22
+    bytes; the exponent, if any, and ",\n".  The text is z zeros (for
+    0.000ddd) and 17 digits, with a point put in after p bytes, cut to size.
+    """
+    _, _, tails, quads, low = _tables()
+    special = (u >> 52) & 0x7FF == 0x7FF
+    nan = special & (u << 12 != 0)
+    d, k = _shortest(u)
+    one = d | 1  # as many digits as d, and 1 for d = 0
+    t = ((one.astype(np.float64).view(np.int64) >> 52) - 1022) * 1233 >> 12
+    count = t + (one >= _P10[t])  # digits of d
+    d = d * _P10[17 - count]
+    decpt = k + count  # |x| = 0.ddd... 10^decpt
+    decpt[d == 0] = 1  # "0.0"
+    expo = ((decpt < -3) | (decpt > 16)) & ~special  # repr's switch to 1e-05, 1e+16
+    small = ~expo & (decpt < 1)
+    z = np.where(small, 1 - decpt, 0)
+    d10, d8 = d // 10, d // 10**9
+    eights = np.stack([d8, d10 - d8 * 10**8])
+    fours = eights // 10**4
+    digits = np.empty((3, len(u)), dtype=np.uint64)  # 17 digits, 7 zeros
+    digits[:2] = quads[fours] | quads[eights - fours * 10**4] << 32
+    digits[2] = _ZEROS | (d - d10 * 10)
+    # bytes up to the last nonzero digit, from the exponent of each word's digits as a double
+    exponents = (digits[:2] ^ _ZEROS).astype(np.float64).view(np.int64) >> 52
+    nz = np.maximum((exponents - 1015) >> 3, 0)
+    nsig = np.where(digits[2] != _ZEROS, 17, np.where(nz[1] > 0, 8 + nz[1], nz[0]))
+    ndig = np.where(expo, nsig, np.where(small, z + nsig, np.maximum(nsig, decpt + 1)))
+    p = np.where(special | expo & (ndig == 1), 24, np.where(expo | small, 1, decpt))
+    size = np.where(special, np.where(nan, 3, 8), ndig + (p < 24))
+    letters = np.where(nan, np.uint64(0x4E614E), np.uint64(0x7974696E69666E49))  # NaN, Infinity
+    digits[0] = np.where(special, letters, digits[0])
+    text = _shl(digits, z.astype(np.uint64))
+    text[0] |= _ZEROS & np.take(low[0], z)
+    before = np.take(low, p, axis=1)
+    dot = np.take(low, p + 1, axis=1) & ~before & 0x2E2E2E2E2E2E2E2E
+    text = ((text & before) | _shl(text & ~before, 1) | dot) & np.take(low, size, axis=1)
+    lines = np.empty((len(u), 5), dtype="<u8")
+    lines[:, 0] = 0x20202020 | ((u >> 63 == 1) & ~nan).astype(np.uint64) * 0x2D << 32
+    lines[:, 1:4] = text.T
+    lines[:, 4] = np.where(expo, np.take(tails, np.clip(decpt + 323, 0, 632)), np.uint64(0x0A2C))
+    return lines.view(np.uint8).ravel()
+
+
+def _json_array(values: np.ndarray) -> str:
+    """values as json.dumps(..., indent=2) lays out a list one level down."""
     if len(values) == 0:
         return "[]"
-    body = json.dumps(values.tolist())[1:-1].replace(", ", ",\n    ")
-    return "[\n    " + body + "\n  ]"
+    bits = values.view(np.uint64)
+    lines = [
+        _repr_lines(bits[i : i + _CHUNK]).tobytes().translate(None, b"\0").decode("ascii")
+        for i in range(0, len(bits), _CHUNK)
+    ]
+    lines[-1] = lines[-1][:-2]  # the last ",\n"
+    return "".join(["[\n", *lines, "\n  ]"])
 
 
 def series_to_json(series: FourierSeries | ChebyshevSeries) -> str:
@@ -587,12 +739,12 @@ def series_to_json(series: FourierSeries | ChebyshevSeries) -> str:
         }
     else:
         raise TypeError(f"not a series: {type(series).__name__}")
-    items = (
-        f"  {json.dumps(key)}: "
-        + (_json_array(value) if isinstance(value, np.ndarray) else json.dumps(value))
-        for key, value in obj.items()
-    )
-    return "{\n" + ",\n".join(items) + "\n}"
+    # one join: each list's text, 5.5 MB at K = 200000, is copied only once more
+    text = []
+    for key, value in obj.items():
+        text += [",\n  " if text else "{\n  ", json.dumps(key), ": "]
+        text.append(_json_array(value) if isinstance(value, np.ndarray) else json.dumps(value))
+    return "".join(text + ["\n}"])
 
 
 def _finite_floats(obj: dict, name: str, scalar: bool = False) -> np.ndarray:

@@ -77,10 +77,21 @@ def _chain_sum(vals: list[float], cost) -> float:
 
 
 def p_variation(s, p: float) -> float:
-    """sup over chains i_0<...<i_m of (sum |v_{i_{j+1}} - v_{i_j}|^p)^(1/p)."""
+    """sup over chains i_0<...<i_m of (sum |v_{i_{j+1}} - v_{i_j}|^p)^(1/p).
+
+    If r^p, for the sample range r, is below the normal doubles or above
+    2^1000 (where a chain's sum could overflow), the samples are first
+    scaled by the power of two that puts r in [1, 2), which is exact.
+    Unscaled, the powers lost their digits or overflowed: [0, 1.9e-162] gave
+    2.2e-162 at p = 2, above its total variation, and [0, 1e200] gave inf."""
     if not p >= 1.0:
         raise ValueError("p must be >= 1")
-    return _chain_sum(_values(s), lambda d: d**p) ** (1.0 / p)
+    vals = _values(s)
+    r = max(vals) - min(vals) if vals else 0.0
+    outside = 0.0 < r < math.inf and not -1022 <= p * math.log2(r) <= 1000
+    e = 1 - math.frexp(r)[1] if outside else 0
+    scaled = [math.ldexp(v, e) for v in vals]
+    return math.ldexp(_chain_sum(scaled, lambda d: d**p) ** (1.0 / p), -e)
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,11 @@ def chain_terms(v, p):
 
 
 def brute_p_variation(v, p):
+    # the power-of-two scaling p_variation applies when the range r has r^p
+    # outside [2^-1022, 2^1000]; it is exact, and e = 0 leaves v as it is
+    r = max(v) - min(v) if len(v) else 0.0
+    e = 1 - math.frexp(r)[1] if 0.0 < r < math.inf and not -1022 <= p * math.log2(r) <= 1000 else 0
+    v = [math.ldexp(x, e) for x in v]
     t = chain_terms(v, p)
     n = len(v)
     best = 0.0
@@ -91,7 +96,7 @@ def brute_p_variation(v, p):
 
     for i in range(n):
         rec(i, 0.0)
-    return best ** (1.0 / p)
+    return math.ldexp(best ** (1.0 / p), -e)
 
 
 def interval_families(n):

@@ -24,7 +24,6 @@ from specjump.coefficients import (
     _CF_CHUNK,
     _closed_form_chebyshev,
     _closed_form_fourier,
-    _int_cos_cos,
     _phase,
     ChebyshevSeries,
     FourierSeries,
@@ -351,6 +350,18 @@ def _reference_fourier(polys, edges, K):
     return a, b
 
 
+def _reference_int_cos_cos(j, ks, t):
+    # the closed form's per-(j, edge) antiderivative, with its own two sines
+    dif = ks - j
+    sm = ks + j
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.sin(dif * t) / (2.0 * dif) + np.sin(sm * t) / (2.0 * sm)
+    eq = dif == 0.0
+    if eq.any():
+        out[eq] = t if j == 0 else t / 2.0 + math.sin(2 * j * t) / (4 * j)
+    return out
+
+
 def _reference_chebyshev(polys, edges, K):
     thetas = [math.acos(max(-1.0, min(1.0, x))) for x in reversed(edges)]
     qs = [sj.coefficients._poly_to_cos_poly(p) for p in reversed(polys)]
@@ -366,7 +377,7 @@ def _reference_chebyshev(polys, edges, K):
         ks = np.arange(start, stop, dtype=float)
         acc = np.zeros(len(ks))
         for coef, j, lo, hi in terms:
-            acc += coef * (_int_cos_cos(j, ks, hi) - _int_cos_cos(j, ks, lo))
+            acc += coef * (_reference_int_cos_cos(j, ks, hi) - _reference_int_cos_cos(j, ks, lo))
         c[start:stop] = acc * (2.0 / math.pi)
     c[0] /= 2.0
     return c
@@ -628,3 +639,74 @@ def test_json_round_trip_on_arbitrary_floats(a, b, a0):
     k = min(len(a), len(b))
     s = FourierSeries(k, a0, tuple(a[:k]), tuple(b[:k]), provenance="synthetic")
     _assert_same_bits(s, series_from_json(series_to_json(s)))
+
+
+# The numpy writer of the coefficient lists against two oracles: json.dumps
+# with indent=2, and the writer it replaced (json's C encoder, which writes
+# floats as repr, NaN and Infinity, split into lines).
+
+def _reference_json_array(values):
+    if len(values) == 0:
+        return "[]"
+    body = json.dumps(values.tolist())[1:-1].replace(", ", ",\n    ")
+    return "[\n    " + body + "\n  ]"
+
+
+def _assert_written_as_json_dumps(values):
+    values = np.asarray(values, dtype=float)
+    series = FourierSeries(len(values), 0.0, values, values[::-1])
+    obj = {"kind": "fourier", "K": series.K, "a0_half": 0.0, "a": values.tolist(),
+           "b": values[::-1].tolist(), "provenance": "unknown"}
+    # line by line, so that a failure shows the first few wrong lines
+    for got, want in [
+        (series_to_json(series), json.dumps(obj, indent=2)),
+        (coefficients._json_array(series.a), _reference_json_array(series.a)),
+    ]:
+        got, want = got.split("\n"), want.split("\n")
+        assert (len(got), [(g, w) for g, w in zip(got, want) if g != w][:3]) == (len(want), [])
+
+
+def _bits(values):
+    return np.array(values, dtype=np.uint64).view(np.float64)
+
+
+_BIT_PATTERNS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    # subnormals and +-0, then the infinities and NaNs with any payload, either sign
+    st.builds(lambda sign, m: sign << 63 | m, st.integers(0, 1), st.integers(0, 2**52 - 1)),
+    st.builds(lambda sign, m: sign << 63 | 0x7FF << 52 | m,
+              st.integers(0, 1), st.integers(0, 2**52 - 1)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_BIT_PATTERNS, max_size=40))
+def test_writer_prints_repr_of_any_bit_pattern(bits):
+    _assert_written_as_json_dumps(_bits(bits))
+
+
+def test_writer_prints_repr_at_every_binary_exponent():
+    # mantissa 0 at an exponent above 1 has the narrower gap below; at the
+    # exponent of 2^50, mantissas 1 and 2^52 - 1 give ties at the 17th digit
+    patterns = [s << 63 | e << 52 | m for s in (0, 1) for e in range(2048)
+                for m in (0, 1, 2, 2**51, 2**52 - 1)]
+    _assert_written_as_json_dumps(_bits(patterns))
+
+
+def test_writer_prints_repr_at_powers_of_ten_and_the_layout_switches():
+    tens = [float(f"1e{e}") for e in range(-323, 309)]
+    switches = [1e-5, 1e-4, 1e16, 2.0**53 - 1, 2.0**53, 2.0**53 + 2, 5e-324, 1e-323, 1.5e-323,
+                2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 0.3, 2.0**50 + 0.25]
+    with np.errstate(over="ignore"):  # the largest double's neighbour above is inf
+        near = [np.nextafter(x, to) for x in tens + switches for to in (0.0, np.inf)]
+    rng = np.random.default_rng(5)
+    integers = [float(v) for j in range(17) for v in (10**j - 1, 10**j, 10**j + 1)]
+    integers += list(range(-1000, 1001)) + rng.integers(0, 10**16, 1000).tolist()
+    values = np.array(tens + switches + near + integers, dtype=float)
+    _assert_written_as_json_dumps(np.concatenate([values, -values]))
+
+
+@pytest.mark.parametrize("n", [0, 1] + [coefficients._CHUNK + i for i in (-1, 0, 1)])
+def test_writer_prints_repr_across_chunk_edges(n):
+    rng = np.random.default_rng(n)
+    _assert_written_as_json_dumps(rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n))

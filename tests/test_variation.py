@@ -170,6 +170,18 @@ def test_p_variation_bounded_by_total_variation(v):
     assert p_variation(v, 2.0) <= p_variation(v, 1.0) * (1.0 + 1e-12)
 
 
+def test_p_variation_keeps_its_digits_when_the_powers_underflow_or_overflow():
+    # unscaled, 1.907e-162 squared rounds to the smallest subnormal and the
+    # root was 2.2e-162 (hypothesis found that example for the test above);
+    # 1e200 squared overflowed to inf
+    v = [0.0, 1.90708602865674e-162]
+    assert p_variation(v, 2.0) == p_variation(v, 1.0) == 1.90708602865674e-162
+    assert p_variation([0.0, 5e-324, 0.0], 3.0) == 5e-324
+    assert p_variation([0.0, 1e200], 2.0) == 1e200
+    for w in (v, [0.0, 1e200, -3e199]):
+        assert p_variation(w, 1.5) == brute_p_variation(w, 1.5)
+
+
 # ---------------------------------------------------------------------------
 # Weight sequences
 # ---------------------------------------------------------------------------
