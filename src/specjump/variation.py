@@ -13,6 +13,7 @@ of index intervals with disjoint interiors; sharing an endpoint is allowed.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -63,35 +64,53 @@ def _values(s) -> list[float]:
 # Chain functionals
 # ---------------------------------------------------------------------------
 
-def _chain_sum(vals: list[float], cost) -> float:
-    """sup over chains i_0<...<i_m of sum cost(|v_{i_{j+1}} - v_{i_j}|).
-
-    Dynamic program over chain endpoints, O(n^2); exact on the samples.
-    cost maps an array of link lengths to their costs elementwise.
-    """
-    v = np.asarray(vals, dtype=float)
-    best = np.zeros(len(v))
-    for j in range(1, len(v)):
-        best[j] = np.max(best[:j] + cost(np.abs(v[j] - v[:j])))
-    return float(np.max(best))
+# most link lengths |v_j - v_i| a variation DP builds at once
+_CELLS = 1 << 16
 
 
-def p_variation(s, p: float) -> float:
+def _chain_sum(rows, costs) -> list[float]:
+    """Per row v of samples: sup over chains i_0<...<i_m of sum
+    cost(|v_{i_{j+1}} - v_{i_j}|), by one O(n^2) DP over chain endpoints.
+
+    A cost turns a block d[j - j0, i] = |v_j - v_i| into costs in place; it
+    must keep the diagonal's +0.0, and entries i > j are not read."""
+    # rows equal up to the signs of zeros have the same link lengths
+    index = {}
+    inv = [index.setdefault(tuple(v), len(index)) for v in rows]
+    u = np.array(list(index), dtype=float)
+    best = np.zeros((len(inv), u.shape[1]))
+    step = max(1, _CELLS // best.size)
+    for j0 in range(1, best.shape[1], step):
+        c = np.abs(u[:, j0:j0 + step, None] - u[:, None, :j0 + step])[inv]
+        for d, cost in zip(c, costs):
+            cost(d)
+        best[:, j0:j0 + step] = (best[:, None, :j0] + c[:, :, :j0]).max(axis=2)
+        for j in range(j0 + 1, j0 + c.shape[1]):
+            best[:, j] = (best[:, j0:j + 1] + c[:, j - j0, j0:j + 1]).max(axis=1)
+    return best.max(axis=1).tolist()
+
+
+def p_variation(s, p):
     """sup over chains i_0<...<i_m of (sum |v_{i_{j+1}} - v_{i_j}|^p)^(1/p).
+
+    A sequence of p gives the list of values, from one DP over all of them.
 
     If r^p, for the sample range r, is below the normal doubles or above
     2^1000 (where a chain's sum could overflow), the samples are first
     scaled by the power of two that puts r in [1, 2), which is exact.
     Unscaled, the powers lost their digits or overflowed: [0, 1.9e-162] gave
     2.2e-162 at p = 2, above its total variation, and [0, 1e200] gave inf."""
-    if not p >= 1.0:
+    ps = [p] if np.ndim(p) == 0 else list(p)
+    if not all(q >= 1.0 for q in ps):
         raise ValueError("p must be >= 1")
     vals = _values(s)
-    r = max(vals) - min(vals) if vals else 0.0
-    outside = 0.0 < r < math.inf and not -1022 <= p * math.log2(r) <= 1000
-    e = 1 - math.frexp(r)[1] if outside else 0
-    scaled = [math.ldexp(v, e) for v in vals]
-    return math.ldexp(_chain_sum(scaled, lambda d: d**p) ** (1.0 / p), -e)
+    r = max(vals) - min(vals)
+    es = [1 - math.frexp(r)[1] if 0 < r < math.inf and not -1022 <= q * math.log2(r) <= 1000 else 0
+          for q in ps]
+    rows = [[math.ldexp(v, e) for v in vals] if e else vals for e in es]
+    sums = _chain_sum(rows, [lambda d, q=q: operator.ipow(d, q) for q in ps]) if ps else []
+    out = [math.ldexp(t ** (1.0 / q), -e) for t, q, e in zip(sums, ps, es)]
+    return out[0] if np.ndim(p) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -111,19 +130,24 @@ class PowerPhi:
 def phi_variation(s, phi) -> float:
     """sup over chains of sum phi(|v_{i_{j+1}} - v_{i_j}|).
 
-    PowerPhi arguments raise whole columns of link lengths to the exponent, as
+    PowerPhi arguments raise whole blocks of link lengths to the exponent, as
     p_variation does.  Other callables must satisfy phi(0) = 0 and are called
     once per pair of samples, on Python floats; the chain DP evaluates the same
     supremum a brute-force enumeration would, at any sample count.
     """
     vals = _values(s)
     if isinstance(phi, PowerPhi):
-        return _chain_sum(vals, lambda d: d**phi.exponent)
+        return _chain_sum([vals], [lambda d: operator.ipow(d, phi.exponent)])[0]
     if not callable(phi):
         raise TypeError("phi must be callable or a PowerPhi")
     if phi(0.0) != 0.0:
         raise ValueError("phi(0) must be 0")
-    return _chain_sum(vals, lambda d: np.array([phi(t) for t in d.tolist()], dtype=float))
+
+    def cost(d):
+        below = np.tri(*d.shape, d.shape[1] - d.shape[0] - 1, dtype=bool)
+        d[below] = [phi(t) for t in d[below].tolist()]
+
+    return _chain_sum([vals], [cost])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -228,26 +252,27 @@ def _maxsum_table(v: list[float], m_max: int, backtrack: bool):
     families with disjoint interiors; optionally the chosen oscillations."""
     arr = np.asarray(v)
     n = len(v)
-    E_prev = np.zeros(n)
-    nu = []
-    # starts[m-1][j]: start index of the interval ending at j in the best
+    E = np.zeros((m_max + 1, n))
+    # start[m-1, j]: start index of the interval ending at j in the best
     # m-family on v[:j+1], or -1 when that family skips j
-    starts = []
-    for _ in range(m_max):
-        E = np.zeros(n)
-        start = [-1] * n
-        for jj in range(1, n):
-            b = E[jj - 1]
-            cand = E_prev[:jj] + np.abs(arr[jj] - arr[:jj])
-            i = int(np.argmax(cand))
-            if cand[i] > b:
-                b, start[jj] = cand[i], i
-            E[jj] = b
-        nu.append(float(E[n - 1]))
-        starts.append(start)
-        E_prev = E
+    start = np.full((m_max, n), -1)
+    for j0 in range(1, n, max(1, _CELLS // n)):
+        j1 = min(n, j0 + max(1, _CELLS // n))
+        D = np.abs(arr[j0:j1, None] - arr[:j1])
+        upper = ~np.tri(j1 - j0, dtype=bool, k=-1)  # i >= j
+        D[:, j0:][upper] = -np.inf
+        for m in range(1, m_max + 1):
+            C = E[m - 1, :j1] + D
+            if E[m - 1, j1 - 1] == math.inf:  # inf + -inf gave nan
+                C[:, j0:][upper] = -np.inf
+            i = C.argmax(axis=1)  # the first maximal i
+            top = C[np.arange(len(C)), i]
+            E[m, j0 - 1:j1] = np.maximum.accumulate(np.concatenate((E[m, j0 - 1:j0], top)))
+            start[m - 1, j0:j1] = np.where(top > E[m, j0 - 1:j1 - 1], i, -1)
+    nu = E[1:, n - 1].tolist()
     if not backtrack:
         return nu, None
+    starts = start.tolist()
     fams = []
     for m in range(1, m_max + 1):
         osc, mm, jj = [], m, n - 1
@@ -557,7 +582,7 @@ def build_report(s, grid_density: Optional[int] = None) -> VariationReport:
     """Compute the standard functional battery on one sample grid."""
     vals = _values(s)
     return VariationReport(
-        p_variation={p: p_variation(vals, p) for p in _P_GRID},
+        p_variation=dict(zip(_P_GRID, p_variation(vals, _P_GRID))),
         harmonic_variation=lambda_variation(vals, LambdaSequence.harmonic()),
         modulus=tuple(modulus_of_variation(vals, min(_MODULUS_N_MAX, max(1, len(vals) - 1)))),
         grid_density=grid_density,

@@ -6,6 +6,7 @@ import random
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -180,6 +181,90 @@ def test_p_variation_keeps_its_digits_when_the_powers_underflow_or_overflow():
     assert p_variation([0.0, 1e200], 2.0) == 1e200
     for w in (v, [0.0, 1e200, -3e199]):
         assert p_variation(w, 1.5) == brute_p_variation(w, 1.5)
+
+
+def _chain_sum_by_columns(vals, cost):
+    """The chain DP one column at a time, as it was before the row blocks: the
+    reference for their bits.  cost maps the link lengths |v_j - v[:j]| to
+    their costs."""
+    v = np.asarray(vals, dtype=float)
+    best = np.zeros(len(v))
+    for j in range(1, len(v)):
+        best[j] = np.max(best[:j] + cost(np.abs(v[j] - v[:j])))
+    return float(np.max(best))
+
+
+def _p_variation_by_columns(vals, p):
+    """One p through the column DP, with p_variation's power-of-two scaling."""
+    r = max(vals) - min(vals)
+    outside = 0.0 < r < math.inf and not -1022 <= p * math.log2(r) <= 1000
+    e = 1 - math.frexp(r)[1] if outside else 0
+    scaled = [math.ldexp(v, e) for v in vals]
+    return math.ldexp(_chain_sum_by_columns(scaled, lambda d: d**p) ** (1.0 / p), -e)
+
+
+def _cells_for(n):
+    """Block sizes from one row per block up to one block for all rows."""
+    return sorted({1, 2, 3, 7, max(1, n - 1), 2 * n, 3 * n + 1, 7 * n, var._CELLS})
+
+
+def _assert_p_grid_matches_the_columns(v):
+    want = [_p_variation_by_columns(v, p) for p in var._P_GRID]
+    assert [p_variation(v, p) for p in var._P_GRID] == want
+    for cells in _cells_for(len(v) * len(var._P_GRID)):
+        with mock.patch.object(var, "_CELLS", cells):
+            assert p_variation(v, var._P_GRID) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(v=_tied_samples)
+def test_the_p_grid_in_one_call_matches_the_column_dp_bit_for_bit(v):
+    _assert_p_grid_matches_the_columns(v)
+
+
+def test_the_p_grid_matches_the_column_dp_where_scaling_applies_to_some_p():
+    # r = 2^-400: r^p underflows for p >= 2.75, which are scaled, and not for
+    # p <= 2.5, which are not; the other cases scale every p > 1 or none
+    tiny = [0.0, 2.0**-400, 2.0**-402, 3 * 2.0**-403, 0.0]
+    assert [q * -400 < -1022 for q in var._P_GRID] == [q >= 2.75 for q in var._P_GRID]
+    for v in (tiny, [0.0, 1.90708602865674e-162], [0.0, 1e200, -3e199], [4.0], [2.5] * 6):
+        _assert_p_grid_matches_the_columns(v)
+    assert p_variation([4.0], var._P_GRID) == [0.0] * len(var._P_GRID)
+    assert p_variation([2.5] * 6, [1.0, 3.0]) == [0.0, 0.0]
+    assert p_variation([0.0, 1.0], []) == []
+
+
+def test_the_p_grid_rejects_any_p_below_one():
+    for ps in ([0.5], [1.0, 0.5, 2.0], [2.0, math.nan]):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            p_variation([0.0, 1.0], ps)
+
+
+def test_the_p_grid_raises_each_p_with_its_own_scalar_pow():
+    # numpy computes d ** 2.0 with its square loop, and an exponent array
+    # that varies along the loop with its pow loop.  Where the two differ (as
+    # numpy's AVX-512 pow does), links of those lengths tell a batched
+    # exponent from the scalar one; where they agree there is nothing to tell.
+    x = np.random.default_rng(0).uniform(1.0, 2.0, 200_000)
+    odd = x[np.power(x, np.full_like(x, 2.0)) != x**2.0][:64].tolist()
+    for t in odd:
+        _assert_p_grid_matches_the_columns([0.0, t, 0.0])
+
+
+def test_general_phi_is_called_once_per_pair_in_every_block_size():
+    v = [math.sin(3.0 * k) for k in range(23)]
+    for cells in _cells_for(len(v)):
+        calls = []
+
+        def phi(t):
+            calls.append(t)
+            return min(t, 1.0)
+
+        with mock.patch.object(var, "_CELLS", cells):
+            got = phi_variation(v, phi)
+        assert got == _phi_variation_by_loop(v, lambda t: min(t, 1.0))
+        # one more call checks phi(0) = 0
+        assert len(calls) == len(v) * (len(v) - 1) // 2 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +533,91 @@ def test_modulus_concavity_within_rounding_on_arbitrary_floats(v):
         # the second difference of three rounded nu values, nu nondecreasing
         tol = 16 * math.ulp(max(scale, nu[j + 1]))
         assert nu[j + 1] - nu[j] <= nu[j] - nu[j - 1] + tol
+
+
+def _maxsum_table_by_rows(v, m_max, backtrack):
+    """The max-sum table one row j at a time, as it was before the row blocks:
+    the reference for their bits, families included."""
+    arr = np.asarray(v)
+    n = len(v)
+    E_prev = np.zeros(n)
+    nu = []
+    starts = []
+    for _ in range(m_max):
+        E = np.zeros(n)
+        start = [-1] * n
+        for jj in range(1, n):
+            b = E[jj - 1]
+            cand = E_prev[:jj] + np.abs(arr[jj] - arr[:jj])
+            i = int(np.argmax(cand))
+            if cand[i] > b:
+                b, start[jj] = cand[i], i
+            E[jj] = b
+        nu.append(float(E[n - 1]))
+        starts.append(start)
+        E_prev = E
+    if not backtrack:
+        return nu, None
+    fams = []
+    for m in range(1, m_max + 1):
+        osc, mm, jj = [], m, n - 1
+        while mm > 0 and jj > 0:
+            i = starts[mm - 1][jj]
+            if i < 0:
+                jj -= 1
+            else:
+                osc.append(abs(v[jj] - v[i]))
+                jj = i
+                mm -= 1
+        fams.append(osc)
+    return nu, fams
+
+
+def _assert_maxsum_matches_the_rows(v, m_max, cells_list):
+    want = _maxsum_table_by_rows(v, m_max, True)
+    for cells in cells_list:
+        with mock.patch.object(var, "_CELLS", cells):
+            assert var._maxsum_table(v, m_max, backtrack=True) == want
+            assert var._maxsum_table(v, m_max, backtrack=False) == (want[0], None)
+
+
+# small integers, repeated values, plateaus and ties between oscillations
+_levels = st.lists(
+    st.one_of(
+        st.integers(min_value=-3, max_value=3).map(float),
+        st.sampled_from([0.5, 1.0 + 1e-12, 2.0 - 1e-12]),
+        st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+    ),
+    min_size=2,
+    max_size=40,
+).flatmap(lambda v: st.tuples(st.just(v + v[:: 3]), st.integers(1, len(v + v[::3]) + 3)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_levels)
+@example(case=([0.0, 1.0, 1.0, 0.0, 2.0, 2.0, -1.0] * 4, 30))
+@example(case=([1.0, 1.0, 1.0], 6))
+def test_the_maxsum_table_matches_the_row_scan_bit_for_bit(case):
+    v, m_max = case
+    _assert_maxsum_matches_the_rows(v, m_max, _cells_for(len(v)))
+
+
+def test_the_maxsum_table_matches_the_row_scan_on_chirp_samples():
+    f = sj.parse_function_spec("domain [0.02, 1]; piece x*sin(1/x^2)")
+    for density in (128, 256):
+        v = list(sample_for_variation(f, density).values)
+        _assert_maxsum_matches_the_rows(v, var._MODULUS_N_MAX, [7 * len(v), var._CELLS])
+        ext = var._reduce_extrema(v)
+        _assert_maxsum_matches_the_rows(ext, 64, [3, 7 * len(ext), var._CELLS])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_the_maxsum_table_keeps_an_overflowing_sum():
+    # differences of +-6e307 are finite and their sums are not: inf must not
+    # meet the -inf that masks the pairs i >= j
+    v = [6e307, -6e307, 6e307, -6e307, 6e307]
+    _assert_maxsum_matches_the_rows(v, 6, _cells_for(len(v)))
+    assert modulus_of_variation(v, 3) == [1.2e308, math.inf, math.inf]
 
 
 # ---------------------------------------------------------------------------
