@@ -208,7 +208,7 @@ def _int_tm_trig(m: int, t: float, s, c, ks, k2, k3, k4) -> tuple:
     )
 
 
-_CF_CHUNK = 1 << 16
+_CF_CHUNK = 1 << 13
 
 
 def _closed_form_sums(polys, ks: np.ndarray, table, rows: int) -> np.ndarray:
@@ -319,15 +319,15 @@ def _split(v):
     return hi, v - hi
 
 
-def _phase(x: float, n: np.ndarray) -> np.ndarray:
+def _phase(x, n: np.ndarray) -> np.ndarray:
     """x * n reduced modulo 2 pi, for integers n < 2**53, to within a few ulp
-    of 2 pi (for x * n below about 4e8).
+    of 2 pi (for x * n below about 4e8); x and n broadcast.
 
     The product is the exact sum of four products of split halves; each is
     reduced by round(part / 2 pi) times the three-part 2 pi.  A plain x * n
     of size 1e7 is already off by about 1e-9.
     """
-    out = np.zeros(len(n))
+    out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(n)))
     for xp in _split(x):
         for npart in _split(n):
             part = xp * npart
@@ -354,6 +354,31 @@ def _piece_values(number: int, expr, xs: np.ndarray) -> np.ndarray:
     return out
 
 
+# Budget of FFT cells (rows times transform length) for one block of
+# Gauss-Legendre offsets in _panel_sums; rules whose transform is longer
+# than _CELLS / 2 run one offset per block, so large rules keep the memory
+# of one offset at a time.  Budgets of 2^13 to 2^16 cells timed alike at
+# K = 256, 512 and 4096, 2^12 was slower, and each doubling past 2^13 added
+# about 0.5 MB to the peak RSS of a K = 256 and 512 build.
+_CELLS = 1 << 13
+
+
+def _block_values(g_of, x: np.ndarray) -> np.ndarray:
+    """g_of at the (rows, P) nodes x, in one call on the flattened nodes.
+
+    Where g_of raises ValueError (a value that is not finite), the rows are
+    evaluated again one at a time, so the error names the node an offset by
+    offset loop meets first: the increment check's integrand evaluates one
+    piece on every row before the other.
+    """
+    try:
+        return g_of(x.ravel()).reshape(x.shape)
+    except ValueError:
+        for row in x:
+            g_of(row)
+        raise
+
+
 def _panel_sums(edges, integrands, K: int, panels) -> np.ndarray:
     """S[k] = sum w g(x) exp(-ikx), k = 0..K, over one composite 16-point
     Gauss-Legendre rule: panels[i] uniform panels on the sub-interval
@@ -367,9 +392,13 @@ def _panel_sums(edges, integrands, K: int, panels) -> np.ndarray:
     transform sum_p G[j, p] exp(-2ihkp), which Bluestein's identity
     2kp = k^2 + p^2 - (k - p)^2 turns into one FFT convolution with the chirp
     exp(-ihn^2): O((P + K) log(P + K)) per offset instead of O(P K).  The
-    chirp phases reach 1e7 rad, so _phase reduces them exactly.  Offsets are
-    done one at a time, in a fixed order, and the FFTs are numpy's pocketfft
-    (no BLAS), so the bits are the same on every host.
+    chirp phases reach 1e7 rad, so _phase reduces them exactly.
+
+    Offsets run in blocks of max(1, min(16, _CELLS // size)) rows, size
+    being the FFT length: one integrand call per block, and FFTs along the
+    rows.  numpy's pocketfft (no BLAS) transforms each row on its own, and
+    the rows are added to the sums one at a time in offset order, so the
+    bits are those of one offset at a time, the same on every host.
     """
     ks = np.arange(K + 1.0)
     out = np.zeros(K + 1, dtype=complex)
@@ -384,12 +413,20 @@ def _panel_sums(edges, integrands, K: int, panels) -> np.ndarray:
         kernel[size - P + 1 :] = chirp[P - 1 : 0 : -1].conj()
         kernel = np.fft.fft(kernel)
         twice_p = 2.0 * np.arange(P, dtype=float)
+        rows = max(1, min(len(_GL_NODES), _CELLS // size))
         piece = np.zeros(K + 1, dtype=complex)
-        for t, w in zip(_GL_NODES, _GL_WEIGHTS):
-            g = (h * w) * g_of(lo + h * (twice_p + (1.0 + t)))
-            total += float(np.sum(g))
-            conv = np.fft.ifft(np.fft.fft(g * chirp[:P], size) * kernel)[: K + 1]
-            piece += conv * _cis_minus(_phase(lo + h * (1.0 + t), ks))
+        for j in range(0, len(_GL_NODES), rows):
+            t = _GL_NODES[j : j + rows, None]
+            w = _GL_WEIGHTS[j : j + rows, None]
+            g = (h * w) * _block_values(g_of, lo + h * (twice_p + (1.0 + t)))
+            conv = np.fft.ifft(np.fft.fft(g * chirp[:P], size, axis=1) * kernel, axis=1)
+            # not `conv * _cis_minus(...)`: for a temporary of 256 KiB or
+            # more numpy computes that in place as cis * conv, and complex
+            # products computed with FMA change bits with the operand order
+            shifted = np.multiply(conv[:, : K + 1], _cis_minus(_phase(lo + h * (1.0 + t), ks)))
+            for row, terms in zip(g, shifted):
+                total += float(np.sum(row))
+                piece += terms
         out += piece * chirp[: K + 1]
     out[0] = total
     return out

@@ -131,18 +131,32 @@ def eval_expr(expr: Expression, x: float) -> float:
     return a ** int(b)
 
 
+def _sqrt(v: np.ndarray) -> np.ndarray:
+    """math.sqrt's values where it returns one (it is correctly rounded, as
+    numpy's is), and +nan where it raises, at negative arguments."""
+    with np.errstate(invalid="ignore"):
+        return np.where(v < 0, math.nan, np.sqrt(v))
+
+
+# The calls whose numpy form has the bits of the scalar one: abs is exact,
+# sqrt correctly rounded, and numpy's sign also maps +-0.0 to 0.0 and
+# passes a nan through.  exp, sin and cos are not correctly rounded, and
+# numpy's SIMD versions differ from libm in the last bit on some CPUs.
+_ARRAY_FUNCTIONS = {"abs": np.abs, "sign": np.sign, "sqrt": _sqrt}
+
+
 def _map_scalar(fn, v: np.ndarray) -> np.ndarray:
     """fn applied to each element of v.
 
     Where fn raises, the element gets the non-finite value IEEE arithmetic
-    gives: nan outside the domain (sqrt of a negative number, sin or cos of
-    an infinity), and an infinity on overflow or a negative power of zero,
-    signed like fn(+-1) for the argument's sign (exp is positive; x^n takes
-    the sign of (+-1)^n).
+    gives: nan outside the domain (sin or cos of an infinity), and an
+    infinity on overflow or a negative power of zero, signed like fn(+-1)
+    for the argument's sign (exp is positive; x^n takes the sign of
+    (+-1)^n).
     """
     vals = v.tolist()
     try:
-        return np.array([fn(t) for t in vals], dtype=float)
+        return np.fromiter(map(fn, vals), float, len(vals))
     except (ArithmeticError, ValueError):
         pass
     out = []
@@ -159,10 +173,11 @@ def _map_scalar(fn, v: np.ndarray) -> np.ndarray:
 def eval_expr_array(expr: Expression, x: np.ndarray) -> np.ndarray:
     """Vectorized expression evaluation; used by quadrature and sampling.
 
-    Arithmetic runs in numpy; function calls and integer powers go through
-    the scalar routines eval_expr uses, so both agree bit for bit.  numpy's
-    own exp and power dispatch to SIMD code that differs from libm on some
-    CPUs, which would make quadrature bits depend on the host.
+    Arithmetic, abs, sign and sqrt run in numpy; exp, sin, cos and integer
+    powers go through the scalar routines eval_expr uses, so both agree bit
+    for bit.  numpy's own exp and power dispatch to SIMD code that differs
+    from libm on some CPUs, which would make quadrature bits depend on the
+    host.
     """
     if isinstance(expr, Num):
         return np.full_like(x, expr.value, dtype=float)
@@ -171,7 +186,10 @@ def eval_expr_array(expr: Expression, x: np.ndarray) -> np.ndarray:
     if isinstance(expr, Neg):
         return -eval_expr_array(expr.operand, x)
     if isinstance(expr, Call):
-        return _map_scalar(_FUNCTIONS[expr.name], eval_expr_array(expr.arg, x))
+        arg = eval_expr_array(expr.arg, x)
+        if expr.name in _ARRAY_FUNCTIONS:
+            return _ARRAY_FUNCTIONS[expr.name](arg)
+        return _map_scalar(_FUNCTIONS[expr.name], arg)
     a = eval_expr_array(expr.left, x)
     if expr.op == "^":
         n = int(expr.right.value)

@@ -1,19 +1,22 @@
 """Fourier and Chebyshev coefficient computation, access helpers, and JSON."""
 
 import copy
+import functools
 import json
 import math
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
@@ -37,7 +40,7 @@ from specjump.coefficients import (
     series_to_json,
 )
 from specjump.funcspec import eval_expr
-from specjump.tails import AccuracyError
+from specjump.tails import AccuracyError, parseval_increment_check
 
 from conftest import SAWTOOTH_SPEC, SIGN_COS_SPEC, SIGN_SPEC, SIGN_X_SPEC
 
@@ -231,6 +234,88 @@ def test_chirp_phase_reduction_is_exact_to_a_few_ulp():
     assert worst_plain > 1e-8  # what the reduction is for
 
 
+def _per_offset_panel_sums(edges, integrands, K, panels):
+    """The panel sums one Gauss-Legendre offset at a time: one integrand
+    call, one FFT pair and one phase shift per offset, the engine's loop
+    before it ran offsets in row blocks.  The bitwise oracle of
+    _panel_sums."""
+    ks = np.arange(K + 1.0)
+    out = np.zeros(K + 1, dtype=complex)
+    total = 0.0
+    for (lo, hi), P, g_of in zip(zip(edges, edges[1:]), panels, integrands):
+        h = (hi - lo) / (2.0 * P)
+        n = np.arange(max(P, K + 1), dtype=float)
+        chirp = coefficients._cis_minus(_phase(h, n * n))
+        size = 1 << (P + K - 1).bit_length()
+        kernel = np.zeros(size, dtype=complex)
+        kernel[: K + 1] = chirp[: K + 1].conj()
+        kernel[size - P + 1 :] = chirp[P - 1 : 0 : -1].conj()
+        kernel = np.fft.fft(kernel)
+        twice_p = 2.0 * np.arange(P, dtype=float)
+        piece = np.zeros(K + 1, dtype=complex)
+        for t, w in zip(coefficients._GL_NODES, coefficients._GL_WEIGHTS):
+            g = (h * w) * g_of(lo + h * (twice_p + (1.0 + t)))
+            total += float(np.sum(g))
+            conv = np.fft.ifft(np.fft.fft(g * chirp[:P], size) * kernel)[: K + 1]
+            piece += conv * coefficients._cis_minus(_phase(lo + h * (1.0 + t), ks))
+        out += piece * chirp[: K + 1]
+    out[0] = total
+    return out
+
+
+_PANEL_PIECES = ("exp(x/3)*sin(x)", "cos(2*x) - x", "sqrt(abs(x))", "x^3 - x^2 + cos(2*x)", "sign(x)*x^2")
+
+
+@st.composite
+def _panel_rules(draw):
+    """1 to 4 sub-intervals of [-3, 3], 1 to 600 panels on each, K from 0
+    (the increment check's rule) to 700, and a piece for each."""
+    m = draw(st.integers(1, 4))
+    edges = sorted(draw(st.lists(st.floats(-3.0, 3.0), min_size=m + 1, max_size=m + 1, unique=True)))
+    panels = draw(st.lists(st.integers(1, 600), min_size=m, max_size=m))
+    bodies = draw(st.lists(st.sampled_from(_PANEL_PIECES), min_size=m, max_size=m))
+    return edges, panels, draw(st.integers(0, 700)), bodies
+
+
+@settings(max_examples=60, deadline=None)
+@given(_panel_rules(), st.sampled_from([1, 3, 7, 16]))
+@example(([0.0, 1.2], [1651], 4096, ["exp(x/3)*sin(x)"]), 8)
+@example(([-1.0, 0.5, 2.0], [2446, 300], 4096, ["cos(2*x) - x", "sqrt(abs(x))"]), 16)
+def test_panel_sums_in_row_blocks_have_the_bits_of_one_offset_at_a_time(rule, rows):
+    # the cell budget gives the first sub-interval blocks of `rows` offsets;
+    # the others get as many as their own FFT length allows.  The examples
+    # have blocks of 256 KiB or more at K = 4096, where numpy may reuse a
+    # temporary and so swap the operands of a complex product.
+    edges, panels, K, bodies = rule
+    integrands = [
+        functools.partial(
+            coefficients._piece_values, i, sj.parse_function_spec(f"domain [-4, 4]; piece {b}").pieces[0]
+        )
+        for i, b in enumerate(bodies, 1)
+    ]
+    want = _per_offset_panel_sums(edges, integrands, K, panels)
+    size = 1 << (panels[0] + K - 1).bit_length()
+    with mock.patch.object(coefficients, "_CELLS", rows * size):
+        got = coefficients._panel_sums(edges, integrands, K, panels)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_increment_check_names_the_node_an_offset_by_offset_loop_meets_first():
+    # On the first sub-interval, [-pi, -2.5], the integrand takes piece 2 at
+    # x + pi/2 and then piece 1 at x.  Piece 1 is nan at the first offset of
+    # the first panel; piece 2 only at the last offsets of the last panel.
+    # Offset by offset, piece 1's node comes first; a block of offsets meets
+    # piece 2's first, so it redoes its rows one at a time to name piece 1.
+    f = sj.parse_function_spec(
+        "domain [-pi, pi] periodic; piece sqrt(x + 3) on [-pi, -2.5); piece sqrt(-1 - x) on (-2.5, pi]"
+    )
+    message = "piece 1 (sqrt(x + 3.0)) is not finite at x = -3.1398925830287236; "
+    for cells in (1, coefficients._CELLS):
+        with mock.patch.object(coefficients, "_CELLS", cells):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                parseval_increment_check(f, sawtooth_series(8), 2)
+
+
 # Quadrature bits, and those of the sawtooth tail-bound sup, must not depend
 # on the BLAS kernel or on numpy's CPU dispatch.  Each run is a child
 # interpreter, because OpenBLAS and numpy read these variables once, at load
@@ -395,7 +480,7 @@ def _random_cubics(rng, lo, hi):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_closed_forms_have_the_bits_of_the_per_term_formulas(seed):
-    # K = 2^16 + 3 crosses a chunk boundary, and k = 0, 1, 2, 3 hit the
+    # K = _CF_CHUNK + 3 crosses a chunk boundary, and k = 0, 1, 2, 3 hit the
     # k = j branch of the Chebyshev antiderivative
     rng = random.Random(seed)
     K = _CF_CHUNK + 3

@@ -180,6 +180,29 @@ def test_eval_expr_array_gives_non_finite_values_instead_of_raising():
         assert [repr(v) for v in got] == [repr(v) for v in want], body
 
 
+_EDGE_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+                1e-310, -1e-310, -1.0, -4.0, 4.0, 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS)), max_size=40),
+    st.sampled_from(["abs", "sign", "sqrt"]),
+)
+def test_numpy_abs_sign_and_sqrt_have_the_bits_of_scalar_evaluation(xs, name):
+    # elementwise, bit for bit, nan payloads and signed zeros included;
+    # where math.sqrt raises, at a negative argument, arrays give +nan
+    expr = Call(name, Var())
+    want = []
+    for x in xs:
+        try:
+            want.append(eval_expr(expr, x))
+        except ValueError:
+            want.append(math.nan)
+    got = eval_expr_array(expr, np.array(xs, dtype=float))
+    assert got.tobytes() == np.array(want, dtype=float).tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # Errors carry position information
 # ---------------------------------------------------------------------------
