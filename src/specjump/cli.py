@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -587,7 +588,9 @@ _FLAGS = (
 )
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it was.
     # RunConfig holds every default: a flag not given stays out of the namespace
     p = argparse.ArgumentParser(
         prog="specjump",

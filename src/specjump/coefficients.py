@@ -297,7 +297,21 @@ def _closed_form_chebyshev(polys, edges, K: int) -> ChebyshevSeries:
 # Gauss-Legendre machinery
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# The 16-point rule, with the bits numpy.polynomial.legendre.leggauss(16)
+# gives; as literals, so importing the package neither loads
+# numpy.polynomial nor calls LAPACK.
+_GL_NODES = np.array([float.fromhex(v) for v in (
+    "-0x1.fa92c264d787ep-1", "-0x1.e39f56616f9b0p-1", "-0x1.bb3403514e483p-1", "-0x1.82c45dda4726bp-1",
+    "-0x1.3c5a466d5e8b8p-1", "-0x1.d50259a43a772p-2", "-0x1.205cae642337cp-2", "-0x1.852bd6676a9f9p-4",
+    "0x1.852bd6676a9f9p-4", "0x1.205cae642337cp-2", "0x1.d50259a43a772p-2", "0x1.3c5a466d5e8b8p-1",
+    "0x1.82c45dda4726bp-1", "0x1.bb3403514e483p-1", "0x1.e39f56616f9b0p-1", "0x1.fa92c264d787ep-1",
+)])
+_GL_WEIGHTS = np.array([float.fromhex(v) for v in (
+    "0x1.bcddab4b7c228p-6", "0x1.fdfb1a2c1261ep-5", "0x1.85c4ee79cc24bp-4", "0x1.fe7af2bad3878p-4",
+    "0x1.325f61bca3cbep-3", "0x1.5a6ebbb5a7600p-3", "0x1.75f8c77e0c011p-3", "0x1.83feae80e4e01p-3",
+    "0x1.83feae80e4e01p-3", "0x1.75f8c77e0c011p-3", "0x1.5a6ebbb5a7600p-3", "0x1.325f61bca3cbep-3",
+    "0x1.fe7af2bad3878p-4", "0x1.85c4ee79cc24bp-4", "0x1.fdfb1a2c1261ep-5", "0x1.bcddab4b7c228p-6",
+)])
 
 
 # 2 pi in three parts of 27, 25 and 53 bits (Cody-Waite): q times either of
@@ -326,19 +340,34 @@ def _phase(x, n: np.ndarray) -> np.ndarray:
     The product is the exact sum of four products of split halves; each is
     reduced by round(part / 2 pi) times the three-part 2 pi.  A plain x * n
     of size 1e7 is already off by about 1e-9.
+
+    Two shortcuts keep the bits, because `out` starts at +0.0, so never
+    holds -0.0, and adding +-0.0 to it changes nothing.  An all-zero half
+    of n (every n < 2**26 has no low half) makes its products +-0.0, so
+    they are skipped.  A product no larger than 3 has q = +-0.0, so the
+    reduction returns it (up to the sign of a zero) and it is added as it is.
     """
     out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(n)))
+    nparts = [(npart, np.max(np.abs(npart))) for npart in _split(n) if np.any(npart)]
     for xp in _split(x):
-        for npart in _split(n):
+        x_max = np.max(np.abs(xp))
+        for npart, n_max in nparts:
             part = xp * npart
-            q = np.round(part / (2.0 * math.pi))
-            out += ((part - q * _TWO_PI[0]) - q * _TWO_PI[1]) - q * _TWO_PI[2]
+            if x_max * n_max <= 3.0:
+                out += part
+            else:
+                q = np.round(part / (2.0 * math.pi))
+                out += ((part - q * _TWO_PI[0]) - q * _TWO_PI[1]) - q * _TWO_PI[2]
     return out
 
 
 def _cis_minus(theta: np.ndarray) -> np.ndarray:
-    """exp(-i theta)."""
-    return np.cos(theta) - 1j * np.sin(theta)
+    """exp(-i theta), with the signed zeros of cos(theta) - 1j * sin(theta):
+    its imaginary part is 0.0 - sin(theta), not -sin(theta)."""
+    out = np.empty(np.shape(theta), dtype=complex)
+    out.real = np.cos(theta)
+    out.imag = np.subtract(0.0, np.sin(theta))
+    return out
 
 
 def _piece_values(number: int, expr, xs: np.ndarray) -> np.ndarray:
@@ -424,8 +453,8 @@ def _panel_sums(edges, integrands, K: int, panels) -> np.ndarray:
             # more numpy computes that in place as cis * conv, and complex
             # products computed with FMA change bits with the operand order
             shifted = np.multiply(conv[:, : K + 1], _cis_minus(_phase(lo + h * (1.0 + t), ks)))
-            for row, terms in zip(g, shifted):
-                total += float(np.sum(row))
+            for row_sum, terms in zip(g.sum(axis=1).tolist(), shifted):
+                total += row_sum
                 piece += terms
         out += piece * chirp[: K + 1]
     out[0] = total

@@ -131,6 +131,27 @@ def eval_expr(expr: Expression, x: float) -> float:
     return a ** int(b)
 
 
+def _map_scalar(fn, v: np.ndarray) -> np.ndarray:
+    """fn (exp or an integer power) applied to each element of v.
+
+    Where fn raises, on overflow or at a negative power of zero, the element
+    gets the infinity IEEE arithmetic gives, signed like fn(+-1) for the
+    argument's sign (exp is positive; x^n takes the sign of (+-1)^n).
+    """
+    vals = v.tolist()
+    try:
+        return np.fromiter(map(fn, vals), float, len(vals))
+    except ArithmeticError:
+        pass
+    out = []
+    for t in vals:
+        try:
+            out.append(fn(t))
+        except ArithmeticError:
+            out.append(math.copysign(math.inf, fn(math.copysign(1.0, t))))
+    return np.array(out, dtype=float)
+
+
 def _sqrt(v: np.ndarray) -> np.ndarray:
     """math.sqrt's values where it returns one (it is correctly rounded, as
     numpy's is), and +nan where it raises, at negative arguments."""
@@ -138,46 +159,58 @@ def _sqrt(v: np.ndarray) -> np.ndarray:
         return np.where(v < 0, math.nan, np.sqrt(v))
 
 
+def _trig(fn):
+    """numpy's fn (sin or cos) with math's values where it returns one, and
+    +nan where it raises, at an infinity.  numpy's float64 sin and cos loops
+    call libm, so the bits are math's on every dispatch level."""
+
+    def array_fn(v: np.ndarray) -> np.ndarray:
+        with np.errstate(invalid="ignore"):
+            out = fn(v)
+        inf = np.isinf(v)
+        if inf.any():
+            out[inf] = math.nan
+        return out
+
+    return array_fn
+
+
+# exp goes through numpy's complex exp, which computes libm's exp(v) cos(0)
+# below its scaling threshold (about 709).  numpy's real exp is not used:
+# its AVX-512 loop differs from libm in the last bit.
+_EXP_BELOW = 700.0
+
+
+def _exp(v: np.ndarray) -> np.ndarray:
+    """math.exp's values: numpy's complex exp where |v| < _EXP_BELOW, the
+    scalar map (with its overflow rule) everywhere else, nan included."""
+    rest = ~(np.abs(v) < _EXP_BELOW)
+    out = np.exp(np.where(rest, 0.0, v) + 0j).real
+    out[rest] = _map_scalar(math.exp, v[rest])
+    return out
+
+
 # The calls whose numpy form has the bits of the scalar one: abs is exact,
-# sqrt correctly rounded, and numpy's sign also maps +-0.0 to 0.0 and
-# passes a nan through.  exp, sin and cos are not correctly rounded, and
-# numpy's SIMD versions differ from libm in the last bit on some CPUs.
-_ARRAY_FUNCTIONS = {"abs": np.abs, "sign": np.sign, "sqrt": _sqrt}
-
-
-def _map_scalar(fn, v: np.ndarray) -> np.ndarray:
-    """fn applied to each element of v.
-
-    Where fn raises, the element gets the non-finite value IEEE arithmetic
-    gives: nan outside the domain (sin or cos of an infinity), and an
-    infinity on overflow or a negative power of zero, signed like fn(+-1)
-    for the argument's sign (exp is positive; x^n takes the sign of
-    (+-1)^n).
-    """
-    vals = v.tolist()
-    try:
-        return np.fromiter(map(fn, vals), float, len(vals))
-    except (ArithmeticError, ValueError):
-        pass
-    out = []
-    for t in vals:
-        try:
-            out.append(fn(t))
-        except ValueError:
-            out.append(math.nan)
-        except ArithmeticError:
-            out.append(math.copysign(math.inf, fn(math.copysign(1.0, t))))
-    return np.array(out, dtype=float)
+# sqrt correctly rounded, numpy's sign also maps +-0.0 to 0.0 and passes a
+# nan through, and sin, cos and exp reach libm as above.
+_ARRAY_FUNCTIONS = {
+    "abs": np.abs,
+    "sign": np.sign,
+    "sqrt": _sqrt,
+    "sin": _trig(np.sin),
+    "cos": _trig(np.cos),
+    "exp": _exp,
+}
 
 
 def eval_expr_array(expr: Expression, x: np.ndarray) -> np.ndarray:
     """Vectorized expression evaluation; used by quadrature and sampling.
 
-    Arithmetic, abs, sign and sqrt run in numpy; exp, sin, cos and integer
-    powers go through the scalar routines eval_expr uses, so both agree bit
-    for bit.  numpy's own exp and power dispatch to SIMD code that differs
-    from libm on some CPUs, which would make quadrature bits depend on the
-    host.
+    Arithmetic and every call run in numpy, with the bits of the scalar
+    routines eval_expr uses (see _ARRAY_FUNCTIONS); integer powers and exp
+    at |x| >= 700 go through those routines.  numpy's own exp and power
+    dispatch to SIMD code that differs from libm on some CPUs, which would
+    make quadrature bits depend on the host.
     """
     if isinstance(expr, Num):
         return np.full_like(x, expr.value, dtype=float)
@@ -186,10 +219,7 @@ def eval_expr_array(expr: Expression, x: np.ndarray) -> np.ndarray:
     if isinstance(expr, Neg):
         return -eval_expr_array(expr.operand, x)
     if isinstance(expr, Call):
-        arg = eval_expr_array(expr.arg, x)
-        if expr.name in _ARRAY_FUNCTIONS:
-            return _ARRAY_FUNCTIONS[expr.name](arg)
-        return _map_scalar(_FUNCTIONS[expr.name], arg)
+        return _ARRAY_FUNCTIONS[expr.name](eval_expr_array(expr.arg, x))
     a = eval_expr_array(expr.left, x)
     if expr.op == "^":
         n = int(expr.right.value)

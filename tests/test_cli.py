@@ -744,3 +744,21 @@ def test_usage_exit_codes(capsys, saw_spec):
     rc, out, err = run_cli(capsys, "--command", "detect")
     assert rc == 1
     assert "error:" in err
+
+
+def test_the_cached_parser_gives_the_bytes_of_a_fresh_one(capsys, saw_spec):
+    # main() reuses one parser per process; parse_args must leave it as it
+    # was, so each run prints and exits as a parser built for it would
+    runs = [
+        ("--command", "detect", "--input", saw_spec, "--method", "fejer", "--points=0,1"),
+        ("--command", "coeffs", "--input", saw_spec, "--Kcap", "8", "--format", "json"),
+        ("--help",),
+        ("--command", "detect", "--input", saw_spec, "--n-list", "5,,6"),
+        ("--command", "detect", "--input", saw_spec, "--method", "fejer", "--points=0,1"),
+    ]
+    cached = [run_cli(capsys, *argv) for argv in runs]
+    with mock.patch.object(cli, "_build_parser", cli._build_parser.__wrapped__):
+        fresh = [run_cli(capsys, *argv) for argv in runs]
+    assert cached == fresh
+    assert [rc for rc, _, _ in cached] == [0, 0, 0, 1, 0]
+    assert cached[0] == cached[-1]

@@ -39,7 +39,8 @@ from specjump.coefficients import (
     series_from_json,
     series_to_json,
 )
-from specjump.funcspec import eval_expr
+from specjump import funcspec
+from specjump.funcspec import BinOp, Call, Neg, eval_expr, eval_expr_array
 from specjump.tails import AccuracyError, parseval_increment_check
 
 from conftest import SAWTOOTH_SPEC, SIGN_COS_SPEC, SIGN_SPEC, SIGN_X_SPEC
@@ -234,18 +235,97 @@ def test_chirp_phase_reduction_is_exact_to_a_few_ulp():
     assert worst_plain > 1e-8  # what the reduction is for
 
 
+def _legendre(n, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    p0, p1 = 1, x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, n * (x * p1 - p0) / (x * x - 1)
+
+
+def test_gauss_legendre_literals_are_numpys_rule_and_close_to_the_exact_one():
+    # The nodes are within 0.32 ulp of a 40-digit rule.  The weights are not
+    # correctly rounded: leggauss rescales them to sum to 2, which leaves up
+    # to 63 ulp (7.0e-15 relative) at the second node from either end.
+    import mpmath
+
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert coefficients._GL_NODES.tobytes() == nodes.tobytes()
+    assert coefficients._GL_WEIGHTS.tobytes() == weights.tobytes()
+    with mpmath.workdps(40):
+        for i in range(16):
+            # Newton from the usual guess: node i of 16, in ascending order
+            x = -mpmath.cos(mpmath.pi * (i + 0.75) / 16.5)
+            for _ in range(50):
+                p, dp = _legendre(16, x)
+                x -= p / dp
+            _, dp = _legendre(16, x)
+            w = 2 / ((1 - x * x) * dp * dp)
+            assert abs(mpmath.mpf(float(nodes[i])) - x) <= 2 * math.ulp(float(x)), i
+            assert abs(mpmath.mpf(float(weights[i])) - w) <= 1e-14 * w, i
+
+
+def test_importing_the_package_loads_no_numpy_polynomial():
+    # the rule is stored as literals, so no import-time leggauss (and LAPACK)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sj.__file__)))
+    code = "import sys, specjump; print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+# The phase and cis routines, and the scalar-map sin, cos and exp of the
+# integrand evaluator, as they were before the engine skipped zero products
+# and filled complex parts directly; the oracles below use only these.
+
+def _old_phase(x, n):
+    two_pi = coefficients._TWO_PI
+    out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(n)))
+    for xp in coefficients._split(x):
+        for npart in coefficients._split(n):
+            part = xp * npart
+            q = np.round(part / (2.0 * math.pi))
+            out += ((part - q * two_pi[0]) - q * two_pi[1]) - q * two_pi[2]
+    return out
+
+
+def _old_cis_minus(theta):
+    return np.cos(theta) - 1j * np.sin(theta)
+
+
+def _old_values(expr, x):
+    """eval_expr_array with sin, cos and exp mapped over math one element
+    at a time."""
+    if isinstance(expr, Call):
+        arg = _old_values(expr.arg, x)
+        if expr.name in ("sin", "cos", "exp"):
+            return np.fromiter(map(getattr(math, expr.name), arg.tolist()), float, arg.size)
+        return funcspec._ARRAY_FUNCTIONS[expr.name](arg)
+    if isinstance(expr, Neg):
+        return -_old_values(expr.operand, x)
+    if isinstance(expr, BinOp) and expr.op != "^":
+        op = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}[expr.op]
+        return op(_old_values(expr.left, x), _old_values(expr.right, x))
+    if isinstance(expr, BinOp):
+        n = int(expr.right.value)
+        return funcspec._map_scalar(lambda t: t**n, _old_values(expr.left, x))
+    return eval_expr_array(expr, x)
+
+
 def _per_offset_panel_sums(edges, integrands, K, panels):
     """The panel sums one Gauss-Legendre offset at a time: one integrand
     call, one FFT pair and one phase shift per offset, the engine's loop
-    before it ran offsets in row blocks.  The bitwise oracle of
-    _panel_sums."""
+    before it ran offsets in row blocks, with the phase and cis routines
+    above and numpy's 16-point rule.  The bitwise oracle of _panel_sums."""
     ks = np.arange(K + 1.0)
     out = np.zeros(K + 1, dtype=complex)
     total = 0.0
     for (lo, hi), P, g_of in zip(zip(edges, edges[1:]), panels, integrands):
         h = (hi - lo) / (2.0 * P)
         n = np.arange(max(P, K + 1), dtype=float)
-        chirp = coefficients._cis_minus(_phase(h, n * n))
+        chirp = _old_cis_minus(_old_phase(h, n * n))
         size = 1 << (P + K - 1).bit_length()
         kernel = np.zeros(size, dtype=complex)
         kernel[: K + 1] = chirp[: K + 1].conj()
@@ -253,14 +333,56 @@ def _per_offset_panel_sums(edges, integrands, K, panels):
         kernel = np.fft.fft(kernel)
         twice_p = 2.0 * np.arange(P, dtype=float)
         piece = np.zeros(K + 1, dtype=complex)
-        for t, w in zip(coefficients._GL_NODES, coefficients._GL_WEIGHTS):
+        for t, w in zip(*np.polynomial.legendre.leggauss(16)):
             g = (h * w) * g_of(lo + h * (twice_p + (1.0 + t)))
             total += float(np.sum(g))
             conv = np.fft.ifft(np.fft.fft(g * chirp[:P], size) * kernel)[: K + 1]
-            piece += conv * coefficients._cis_minus(_phase(lo + h * (1.0 + t), ks))
+            piece += conv * _old_cis_minus(_old_phase(lo + h * (1.0 + t), ks))
         out += piece * chirp[: K + 1]
     out[0] = total
     return out
+
+
+_PHASE_X = st.one_of(
+    st.floats(-8.0, 8.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -2.5e-17, math.pi / 2**21, 0.5, -3.0]),
+)
+
+
+@st.composite
+def _phase_args(draw):
+    """x as a scalar (like the chirp's h) or a (rows, 1) column (like the
+    offsets' lo + h (1 + t)), and n as squares of 0..m (the chirp) or as
+    integers below a bound on either side of 2**26."""
+    if draw(st.booleans()):
+        x = draw(_PHASE_X)
+    else:
+        x = np.array(draw(st.lists(_PHASE_X, min_size=1, max_size=16)))[:, None]
+    m = draw(st.integers(0, 300))
+    if draw(st.booleans()):
+        n = np.arange(m + 1.0) * np.arange(m + 1.0)
+    else:
+        bound = draw(st.sampled_from([1 << 13, 1 << 26, (1 << 26) + 1, 1 << 40, 1 << 53]))
+        n = np.array(draw(st.lists(st.integers(0, bound - 1), min_size=1, max_size=m + 1)), dtype=float)
+    return x, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_phase_args())
+@example((-0.0, np.array([0.0])))
+@example((np.array([[0.0], [-0.0], [3.0]]), np.array([0.0, 1.0, 2.0**26 + 1.0, 2.0**40 + 3.0])))
+def test_phase_shortcuts_keep_the_bits_of_the_full_reduction(args):
+    x, n = args
+    assert _phase(x, n).tobytes() == _old_phase(x, n).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([0.0, -0.0, 5e-324, -5e-324])), max_size=64))
+def test_cis_minus_has_the_bits_of_cos_minus_i_sin(thetas):
+    # finite angles, the only ones _phase returns; signed zeros included
+    theta = np.array(thetas, dtype=float)
+    assert coefficients._cis_minus(theta).tobytes() == _old_cis_minus(theta).tobytes()
 
 
 _PANEL_PIECES = ("exp(x/3)*sin(x)", "cos(2*x) - x", "sqrt(abs(x))", "x^3 - x^2 + cos(2*x)", "sign(x)*x^2")
@@ -287,13 +409,9 @@ def test_panel_sums_in_row_blocks_have_the_bits_of_one_offset_at_a_time(rule, ro
     # have blocks of 256 KiB or more at K = 4096, where numpy may reuse a
     # temporary and so swap the operands of a complex product.
     edges, panels, K, bodies = rule
-    integrands = [
-        functools.partial(
-            coefficients._piece_values, i, sj.parse_function_spec(f"domain [-4, 4]; piece {b}").pieces[0]
-        )
-        for i, b in enumerate(bodies, 1)
-    ]
-    want = _per_offset_panel_sums(edges, integrands, K, panels)
+    exprs = [sj.parse_function_spec(f"domain [-4, 4]; piece {b}").pieces[0] for b in bodies]
+    integrands = [functools.partial(coefficients._piece_values, i, e) for i, e in enumerate(exprs, 1)]
+    want = _per_offset_panel_sums(edges, [functools.partial(_old_values, e) for e in exprs], K, panels)
     size = 1 << (panels[0] + K - 1).bit_length()
     with mock.patch.object(coefficients, "_CELLS", rows * size):
         got = coefficients._panel_sums(edges, integrands, K, panels)
@@ -345,14 +463,13 @@ _NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
 
 
 def _quadrature_bits(settings):
-    """Output of _DETERMINISM_RUN; settings=None keeps the caller's
-    environment, a dict replaces both variables (absent means unset)."""
+    """Output of _DETERMINISM_RUN; settings replaces both variables of the
+    caller's environment (absent means unset)."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sj.__file__)))
     env = dict(os.environ)
-    if settings is not None:
-        env.pop("OPENBLAS_CORETYPE", None)
-        env.pop("NPY_DISABLE_CPU_FEATURES", None)
-        env.update(settings)
+    env.pop("OPENBLAS_CORETYPE", None)
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    env.update(settings)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _DETERMINISM_RUN],
@@ -363,7 +480,9 @@ def _quadrature_bits(settings):
 
 
 def test_quadrature_bits_do_not_depend_on_blas_kernel_or_cpu_dispatch():
-    default = _quadrature_bits(None)
+    # the reference has explicit settings too: one inherited from the caller
+    # (numpy at x86-64-v2, say) would be compared with the rows' v4 bits
+    default = _quadrature_bits({})
     for settings in (
         {"OPENBLAS_CORETYPE": "Haswell"},
         {"OPENBLAS_CORETYPE": "Sandybridge", "NPY_DISABLE_CPU_FEATURES": _NO_AVX512},

@@ -203,6 +203,46 @@ def test_numpy_abs_sign_and_sqrt_have_the_bits_of_scalar_evaluation(xs, name):
     assert got.tobytes() == np.array(want, dtype=float).tobytes(), name
 
 
+def _bits(*words):
+    return [float(v) for v in np.array(words, dtype=np.uint64).view(float)]
+
+
+# nan payloads (quiet, negative, signalling), subnormals, the arguments
+# where exp leaves numpy's complex route (|x| >= 700) or overflows (709.78),
+# and three above 709 where the complex exp's scaled path is off by an ulp
+_LIBM_FLOATS = (
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+    *_bits(0x7FF8000000000123, 0xFFF80000000ABCDE, 0x7FF0000000000001, 0xFFF4000000000001),
+    5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+    700.0, -700.0, math.nextafter(700.0, 0.0), -math.nextafter(700.0, 0.0),
+    math.nextafter(700.0, math.inf), 709.78, 709.8, -709.8, 710.0, -745.2, -746.0,
+    *map(float.fromhex, ("0x1.628090fc27419p+9", "0x1.62b9f64b67d03p+9", "0x1.62d8bee33a9afp+9")),
+    1e6, -1e22, 2.0**1023,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.floats(), st.floats(-750.0, 750.0), st.sampled_from(_LIBM_FLOATS)),
+             max_size=40),
+    st.sampled_from(["sin", "cos", "exp"]),
+)
+def test_numpy_sin_cos_and_exp_have_the_bits_of_scalar_evaluation(xs, name):
+    # elementwise, bit for bit; where math raises, arrays give +nan (sin
+    # or cos of an infinity) or +inf (exp past overflow)
+    expr = Call(name, Var())
+    want = []
+    for x in xs:
+        try:
+            want.append(eval_expr(expr, x))
+        except ValueError:
+            want.append(math.nan)
+        except OverflowError:
+            want.append(math.inf)
+    got = eval_expr_array(expr, np.array(xs, dtype=float))
+    assert got.tobytes() == np.array(want, dtype=float).tobytes(), name
+
+
 # ---------------------------------------------------------------------------
 # Errors carry position information
 # ---------------------------------------------------------------------------
