@@ -14,6 +14,7 @@ formula in this package assumes.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -159,20 +160,14 @@ def _sqrt(v: np.ndarray) -> np.ndarray:
         return np.where(v < 0, math.nan, np.sqrt(v))
 
 
-def _trig(fn):
+def _trig(fn, v: np.ndarray) -> np.ndarray:
     """numpy's fn (sin or cos) with math's values where it returns one, and
     +nan where it raises, at an infinity.  numpy's float64 sin and cos loops
     call libm, so the bits are math's on every dispatch level."""
-
-    def array_fn(v: np.ndarray) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            out = fn(v)
-        inf = np.isinf(v)
-        if inf.any():
-            out[inf] = math.nan
-        return out
-
-    return array_fn
+    with np.errstate(invalid="ignore"):
+        out = fn(v)
+    out[np.isinf(v)] = math.nan
+    return out
 
 
 # exp goes through numpy's complex exp, which computes libm's exp(v) cos(0)
@@ -197,8 +192,8 @@ _ARRAY_FUNCTIONS = {
     "abs": np.abs,
     "sign": np.sign,
     "sqrt": _sqrt,
-    "sin": _trig(np.sin),
-    "cos": _trig(np.cos),
+    "sin": functools.partial(_trig, np.sin),
+    "cos": functools.partial(_trig, np.cos),
     "exp": _exp,
 }
 

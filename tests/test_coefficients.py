@@ -1,6 +1,7 @@
 """Fourier and Chebyshev coefficient computation, access helpers, and JSON."""
 
 import copy
+import decimal
 import functools
 import json
 import math
@@ -247,22 +248,21 @@ def test_gauss_legendre_literals_are_numpys_rule_and_close_to_the_exact_one():
     # The nodes are within 0.32 ulp of a 40-digit rule.  The weights are not
     # correctly rounded: leggauss rescales them to sum to 2, which leaves up
     # to 63 ulp (7.0e-15 relative) at the second node from either end.
-    import mpmath
-
     nodes, weights = np.polynomial.legendre.leggauss(16)
     assert coefficients._GL_NODES.tobytes() == nodes.tobytes()
     assert coefficients._GL_WEIGHTS.tobytes() == weights.tobytes()
-    with mpmath.workdps(40):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
         for i in range(16):
             # Newton from the usual guess: node i of 16, in ascending order
-            x = -mpmath.cos(mpmath.pi * (i + 0.75) / 16.5)
+            x = decimal.Decimal(-math.cos(math.pi * (i + 0.75) / 16.5))
             for _ in range(50):
                 p, dp = _legendre(16, x)
                 x -= p / dp
             _, dp = _legendre(16, x)
             w = 2 / ((1 - x * x) * dp * dp)
-            assert abs(mpmath.mpf(float(nodes[i])) - x) <= 2 * math.ulp(float(x)), i
-            assert abs(mpmath.mpf(float(weights[i])) - w) <= 1e-14 * w, i
+            assert abs(decimal.Decimal(float(nodes[i])) - x) <= 2 * decimal.Decimal(math.ulp(float(x))), i
+            assert abs(decimal.Decimal(float(weights[i])) - w) <= decimal.Decimal("1e-14") * w, i
 
 
 def test_importing_the_package_loads_no_numpy_polynomial():
