@@ -9,7 +9,6 @@ from .funcspec import (
     SpecArityError,
     SpecSyntaxError,
     evaluate,
-    format_function_spec,
     one_sided_limits,
     parse_function_spec,
     true_jump,
@@ -18,20 +17,13 @@ from .coefficients import (
     AccuracyError,
     ChebyshevSeries,
     FourierSeries,
-    A_k,
     chebyshev_coefficients,
     fourier_coefficients,
-    jump_part_series,
-    partial_sum,
-    rho,
-    sawtooth_series,
     series_from_json,
     series_to_json,
 )
 from .variation import (
     ClassLabel,
-    LambdaSequence,
-    PowerPhi,
     SampleSequence,
     VariationReport,
     build_report,
@@ -39,7 +31,6 @@ from .variation import (
     lambda_variation,
     modulus_of_variation,
     p_variation,
-    phi_variation,
 )
 from .summability import (
     cesaro_jump,
@@ -57,12 +48,10 @@ from .tails import (
     jump_from_conjugate,
     jump_from_integrated,
     parseval_increment_check,
-    s_n_diagnostic,
     v2_tail_diagnostic,
 )
 from .chebyshev import (
     ChebyshevTailConfig,
-    chebyshev_tail,
     integrated_chebyshev_tail,
     jump_from_chebyshev,
     sawtooth_tail_bound_check,
@@ -70,7 +59,6 @@ from .chebyshev import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "A_k",
     "AccuracyError",
     "ChebyshevSeries",
     "ChebyshevTailConfig",
@@ -78,9 +66,7 @@ __all__ = [
     "DomainError",
     "FourierSeries",
     "JumpEstimate",
-    "LambdaSequence",
     "PiecewiseFunction",
-    "PowerPhi",
     "PrecisionWarning",
     "RunConfig",
     "SampleSequence",
@@ -93,33 +79,25 @@ __all__ = [
     "cesaro_mean",
     "cesaro_weights",
     "chebyshev_coefficients",
-    "chebyshev_tail",
     "classify",
     "conjugate_tail",
     "diff_series_terms",
     "evaluate",
     "fejer_jump",
-    "format_function_spec",
     "fourier_coefficients",
     "integrated_chebyshev_tail",
     "integrated_tail",
     "jump_from_chebyshev",
     "jump_from_conjugate",
     "jump_from_integrated",
-    "jump_part_series",
     "lambda_variation",
     "modulus_of_variation",
     "one_sided_limits",
     "p_variation",
     "parse_function_spec",
     "parseval_increment_check",
-    "partial_sum",
-    "phi_variation",
-    "rho",
     "run",
-    "s_n_diagnostic",
     "sample_for_variation",
-    "sawtooth_series",
     "sawtooth_tail_bound_check",
     "series_from_json",
     "series_to_json",

@@ -11,7 +11,6 @@ integrate by parts, reuse the trigonometric tail sum) as its oracle.
 from __future__ import annotations
 
 import math
-import warnings
 import weakref
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -19,11 +18,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coefficients import ChebyshevSeries
-from .tails import JumpEstimate, PrecisionWarning, _SuffixSums, _window, _window_sup
+from .tails import JumpEstimate, _SuffixSums
 
 __all__ = [
     "ChebyshevTailConfig",
-    "chebyshev_tail",
     "integrated_chebyshev_tail",
     "jump_from_chebyshev",
     "sawtooth_tail_bound_check",
@@ -51,11 +49,6 @@ def _resolve_K(series: ChebyshevSeries, cfg: ChebyshevTailConfig) -> int:
     return K
 
 
-def _check_x(x: float) -> None:
-    if not abs(x) < 1.0:
-        raise ValueError("x must lie strictly inside (-1, 1)")
-
-
 def _clenshaw(c: list, x: float) -> float:
     """sum_k c[k] T_k(x) by the Clenshaw recurrence, for len(c) >= 2, on
     Python floats: the operations of numpy's chebval, in its order, so the
@@ -67,29 +60,6 @@ def _clenshaw(c: list, x: float) -> float:
     for ck in rest:
         c0, c1 = ck - c1, c0 + c1 * x2
     return c0 + c1 * x
-
-
-def chebyshev_tail(series: ChebyshevSeries, x: float, cfg: ChebyshevTailConfig) -> float:
-    """sum_{k=n}^{K_cap} c_k T_k(x), evaluated by the Clenshaw recurrence.
-
-    Emits PrecisionWarning when the oscillatory-sum bound on the discarded
-    part beyond K_cap (c* / |sin(theta/2)| under the |c_k| <= c* K / k decay
-    model) exceeds 1% of the result.
-    """
-    _check_x(x)
-    n, K = cfg.n, _resolve_K(series, cfg)
-    tail = series.c[n : K + 1]
-    value = _clenshaw([0.0] * n + tail.tolist(), x)
-    theta = math.acos(x)
-    bound = _window_sup(np.abs(_window(tail, K)), K) / max(abs(math.sin(theta / 2.0)), 1e-6)
-    if bound > 0.01 * abs(value):
-        warnings.warn(
-            f"chebyshev_tail: truncation bound {bound:.3g} exceeds 1% of the "
-            f"result {value:.6g}; raise K_cap or supply more coefficients",
-            PrecisionWarning,
-            stacklevel=2,
-        )
-    return value
 
 
 # one entry, series -> (K, upper D, constant suffix sums, x hex, {j: Clenshaw state})
@@ -126,7 +96,8 @@ def integrated_chebyshev_tail(
     lowest state above m and ends on its own D[m], D[m - 1] and zeros, the
     operations of one sweep, and reads its constant from position m - 2.
     """
-    _check_x(x)
+    if not abs(x) < 1.0:
+        raise ValueError("x must lie strictly inside (-1, 1)")
     n, K = cfg.n, _resolve_K(series, cfg)
     c = series.c
     value = 0.0

@@ -34,15 +34,8 @@ from .coefficients import (
     series_from_json,
     series_to_json,
 )
-from .funcspec import (
-    PiecewiseFunction,
-    eval_expr_array,
-    evaluate,
-    one_sided_limits,
-    parse_function_spec,
-    true_jump,
-)
-from .summability import cesaro_jump, fejer_jump
+from .funcspec import PiecewiseFunction, _piece_at, eval_expr_array, parse_function_spec, true_jump
+from .summability import _fejer_mean, cesaro_jump, fejer_jump
 from .tails import (
     _METHODS as _ESTIMATORS,
     PrecisionWarning,
@@ -51,7 +44,6 @@ from .tails import (
     jump_from_conjugate,
     jump_from_integrated,
     parseval_increment_check,
-    s_n_diagnostic,
     v2_tail_diagnostic,
 )
 from .variation import SampleSequence, build_report, classify
@@ -341,6 +333,12 @@ def sample_for_variation(f: PiecewiseFunction, density: int) -> SampleSequence:
     """Sample f for the variation analyzer: a uniform grid of `density`
     points, both one-sided values at every breakpoint (adjacent entries),
     and grid-detected local extrema of each piece.
+
+    Each piece is evaluated in one call, at its samples and its ends: a
+    domain edge takes the closure value of the edge piece (on a periodic
+    domain as well, not the wrap-around), a breakpoint the value of each
+    piece it ends.  A value that is not finite raises ValueError naming the
+    piece and x.
     """
     if density < 2:
         raise ValueError("density must be >= 2")
@@ -355,23 +353,23 @@ def sample_for_variation(f: PiecewiseFunction, density: int) -> SampleSequence:
         turns = np.nonzero(d[:-1] * d[1:] < 0.0)[0]
         xs.update(float(scan[j + 1]) for j in turns if float(scan[j + 1]) not in bps)
 
-    def _value_at(x: float) -> float:
-        # domain edges sample the closure value on the inside, not the
-        # periodic wrap-around
-        if f.periodic:
-            if x == lo:
-                return one_sided_limits(f, lo)[1]
-            if x == hi:
-                return one_sided_limits(f, hi)[0]
-        return evaluate(f, x)
-
-    entries = [(x, 0, _value_at(x)) for x in xs]
-    for bp in f.breakpoints:
-        lv, rv = one_sided_limits(f, bp)
-        entries.append((bp, 0, lv))
-        entries.append((bp, 1, rv))
-    entries.sort(key=lambda e: (e[0], e[1]))
-    return SampleSequence(tuple(v for _, _, v in entries))
+    # (x, side, piece) of every entry: no sample is a breakpoint, and a
+    # breakpoint's left value comes before its right one
+    bps = np.array(f.breakpoints)
+    xs = np.array(sorted(xs))
+    if f.periodic:  # the edge limit at lo itself, which linspace turns from -0.0 into 0.0
+        xs[xs == lo] = lo
+    count = len(bps)
+    x = np.concatenate((xs, bps, bps))
+    side = np.repeat([0, 0, 1], [len(xs), count, count])
+    piece = np.concatenate((np.searchsorted(bps, xs), np.arange(count), np.arange(1, count + 1)))
+    order = np.lexsort((side, x))
+    x, piece = x[order], piece[order]
+    values = np.empty(len(x))
+    for i in range(len(f.pieces)):
+        at = piece == i
+        values[at] = _piece_at(f, i, x[at])
+    return SampleSequence(tuple(values.tolist()))
 
 
 def _cmd_variation(config: RunConfig) -> str:
@@ -425,7 +423,8 @@ def _cmd_diagnose(config: RunConfig) -> str:
         series = _series_for(config, f, series_in, "fourier", max(ns))
         rows = []
         for n in ns:
-            s = s_n_diagnostic(series, x, n)
+            # s_n = -(1/n) sum k A_k: the Fejer mean, but an exact zero is -0.0
+            s = _fejer_mean(series, x, n) or -0.0
             rows.append((n, s, math.pi * s))
         return _table_text(config, ("n", "s_n", "pi_s_n"), rows)
     # parseval

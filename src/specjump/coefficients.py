@@ -35,11 +35,6 @@ __all__ = [
     "AccuracyError",
     "fourier_coefficients",
     "chebyshev_coefficients",
-    "A_k",
-    "rho",
-    "partial_sum",
-    "sawtooth_series",
-    "jump_part_series",
     "series_to_json",
     "series_from_json",
 ]
@@ -565,61 +560,16 @@ def chebyshev_coefficients(f: PiecewiseFunction, K: int) -> ChebyshevSeries:
 
 
 # ---------------------------------------------------------------------------
-# Series accessors
+# Series terms
 # ---------------------------------------------------------------------------
 
-def A_k(series: FourierSeries, x0: float, k: int) -> float:
-    """Conjugate-phase coefficient a_k sin(k x0) - b_k cos(k x0)."""
-    if not (1 <= k <= series.K):
-        raise ValueError(f"k={k} outside stored range 1..{series.K}")
-    return float(series.a[k - 1]) * math.sin(k * x0) - float(series.b[k - 1]) * math.cos(k * x0)
-
-
-def rho(series: FourierSeries, k: int) -> float:
-    """Spectral amplitude sqrt(a_k^2 + b_k^2)."""
-    if not (1 <= k <= series.K):
-        raise ValueError(f"k={k} outside stored range 1..{series.K}")
-    return math.hypot(series.a[k - 1], series.b[k - 1])
-
-
-def partial_sum(series: FourierSeries, x: float, n: int) -> float:
-    """Value of the degree-n trigonometric partial sum at x."""
-    if not (1 <= n <= series.K):
-        raise ValueError(f"n={n} outside stored range 1..{series.K}")
-    terms = [
-        series.a[k - 1] * math.cos(k * x) + series.b[k - 1] * math.sin(k * x)
-        for k in range(1, n + 1)
-    ]
-    return series.a0_half + math.fsum(terms)
-
-
-# ---------------------------------------------------------------------------
-# Analytic reference series
-# ---------------------------------------------------------------------------
-
-def sawtooth_series(K: int) -> FourierSeries:
-    """The 2pi-periodic odd sawtooth with unit harmonic amplitudes b_k = 1/k.
-
-    This is (pi - x)/2 on (0, 2pi), jump +pi at x = 0.
-    """
-    b = 1.0 / np.arange(1, K + 1, dtype=float)
-    return FourierSeries(K, 0.0, np.zeros(K), b, provenance="closed_form")
-
-
-def jump_part_series(jumps: list[tuple[float, float]], K: int) -> FourierSeries:
-    """Series of the pure jump part: shifted sawtooths scaled by magnitude / pi.
-
-    Each (location, magnitude) contributes magnitude/pi times the unit
-    sawtooth translated to the location, so the sum carries exactly the
-    given jumps and nothing else.
-    """
-    a = np.zeros(K)
-    b = np.zeros(K)
+def _conjugate_terms(series: FourierSeries, x0: float, K: int) -> np.ndarray:
+    """The conjugate-phase terms A_k = a_k sin(k x0) - b_k cos(k x0) for
+    k = 1..K: the terms of the tails and, times -k, of the differentiated
+    series.  numpy's float64 sin and cos call libm, so each A_k has the
+    bits of the same formula on Python floats."""
     ks = np.arange(1, K + 1, dtype=float)
-    for theta0, jump in jumps:
-        a += -(jump / math.pi) * np.sin(ks * theta0) / ks
-        b += (jump / math.pi) * np.cos(ks * theta0) / ks
-    return FourierSeries(K, 0.0, a, b, provenance="closed_form")
+    return series.a[:K] * np.sin(ks * x0) - series.b[:K] * np.cos(ks * x0)
 
 
 # ---------------------------------------------------------------------------
@@ -840,6 +790,8 @@ def series_from_json(text: str) -> FourierSeries | ChebyshevSeries:
     prov = obj.get("provenance", "unknown")
     if kind not in ("fourier", "chebyshev"):
         raise ValueError(f"unknown series kind {kind!r}")
+    if not isinstance(prov, str):
+        raise ValueError("series JSON field 'provenance' must be a string")
     K = obj.get("K")
     if type(K) is not int:
         raise ValueError("series JSON field 'K' must be an integer")

@@ -18,7 +18,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "SpecArityError",
     "DomainError",
     "parse_function_spec",
-    "format_function_spec",
     "evaluate",
     "one_sided_limits",
     "true_jump",
@@ -93,45 +92,6 @@ class Call:
 Expression = Num | Var | Neg | BinOp | Call
 
 
-def _sign(v: float) -> float:
-    if v != v:
-        return v  # nan stays nan
-    return 0.0 if v == 0 else math.copysign(1.0, v)
-
-
-_FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "abs": abs,
-    "sign": _sign,
-    "sqrt": math.sqrt,
-}
-
-
-def eval_expr(expr: Expression, x: float) -> float:
-    """Evaluate an expression tree at a scalar point."""
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        return x
-    if isinstance(expr, Neg):
-        return -eval_expr(expr.operand, x)
-    if isinstance(expr, Call):
-        return float(_FUNCTIONS[expr.name](eval_expr(expr.arg, x)))
-    op, a, b = expr.op, eval_expr(expr.left, x), eval_expr(expr.right, x)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    # parser guarantees the exponent is an integer literal
-    return a ** int(b)
-
-
 def _map_scalar(fn, v: np.ndarray) -> np.ndarray:
     """fn (exp or an integer power) applied to each element of v.
 
@@ -185,10 +145,10 @@ def _exp(v: np.ndarray) -> np.ndarray:
     return out
 
 
-# The calls whose numpy form has the bits of the scalar one: abs is exact,
-# sqrt correctly rounded, numpy's sign also maps +-0.0 to 0.0 and passes a
-# nan through, and sin, cos and exp reach libm as above.
-_ARRAY_FUNCTIONS = {
+# The calls, each with the bits of Python's: abs is exact, sqrt correctly
+# rounded, numpy's sign maps +-0.0 to 0.0 and passes a nan through, and sin,
+# cos and exp reach libm as above.
+_FUNCTIONS = {
     "abs": np.abs,
     "sign": np.sign,
     "sqrt": _sqrt,
@@ -199,13 +159,15 @@ _ARRAY_FUNCTIONS = {
 
 
 def eval_expr_array(expr: Expression, x: np.ndarray) -> np.ndarray:
-    """Vectorized expression evaluation; used by quadrature and sampling.
+    """An expression tree at an array of points: the one evaluator, used by
+    quadrature, sampling and every point value.
 
-    Arithmetic and every call run in numpy, with the bits of the scalar
-    routines eval_expr uses (see _ARRAY_FUNCTIONS); integer powers and exp
-    at |x| >= 700 go through those routines.  numpy's own exp and power
-    dispatch to SIMD code that differs from libm on some CPUs, which would
-    make quadrature bits depend on the host.
+    Arithmetic and every call run in numpy, with the bits of Python's float
+    arithmetic and math module (see _FUNCTIONS); integer powers and exp at
+    |x| >= 700 go through Python floats.  numpy's own exp and power dispatch
+    to SIMD code that differs from libm on some CPUs, which would make the
+    bits depend on the host.  Where Python would raise, the value is the
+    IEEE one, an infinity or a nan.
     """
     if isinstance(expr, Num):
         return np.full_like(x, expr.value, dtype=float)
@@ -214,7 +176,7 @@ def eval_expr_array(expr: Expression, x: np.ndarray) -> np.ndarray:
     if isinstance(expr, Neg):
         return -eval_expr_array(expr.operand, x)
     if isinstance(expr, Call):
-        return _ARRAY_FUNCTIONS[expr.name](eval_expr_array(expr.arg, x))
+        return _FUNCTIONS[expr.name](eval_expr_array(expr.arg, x))
     a = eval_expr_array(expr.left, x)
     if expr.op == "^":
         n = int(expr.right.value)
@@ -290,6 +252,23 @@ def _piece_index(f: PiecewiseFunction, x: float) -> int:
     raise DomainError(f"{x} does not lie inside any piece")
 
 
+def _piece_at(f: PiecewiseFunction, i: int, xs: np.ndarray) -> np.ndarray:
+    """Piece i of f at the points xs; raises ValueError naming the piece and
+    the first x where a value is not finite."""
+    with np.errstate(all="ignore"):
+        out = eval_expr_array(f.pieces[i], xs)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise ValueError(
+            f"piece {i + 1} ({_format_expr(f.pieces[i])}) is not finite at x = {float(xs[bad][0])!r}"
+        )
+    return out
+
+
+def _value(f: PiecewiseFunction, i: int, x: float) -> float:
+    return float(_piece_at(f, i, np.array([x]))[0])
+
+
 def one_sided_limits(f: PiecewiseFunction, x: float) -> tuple[float, float]:
     """Return (f(x-0), f(x+0)).
 
@@ -301,13 +280,11 @@ def one_sided_limits(f: PiecewiseFunction, x: float) -> tuple[float, float]:
     if x == lo or x == hi:
         if not f.periodic:
             raise DomainError("one-sided limits need an interior point")
-        left = eval_expr(f.pieces[-1], hi)
-        right = eval_expr(f.pieces[0], lo)
-        return (left, right)
+        return (_value(f, len(f.pieces) - 1, hi), _value(f, 0, lo))
     for i, b in enumerate(f.breakpoints):
         if x == b:
-            return (eval_expr(f.pieces[i], x), eval_expr(f.pieces[i + 1], x))
-    v = eval_expr(f.pieces[_piece_index(f, x)], x)
+            return (_value(f, i, x), _value(f, i + 1, x))
+    v = _value(f, _piece_index(f, x), x)
     return (v, v)
 
 
@@ -317,12 +294,11 @@ def evaluate(f: PiecewiseFunction, x: float) -> float:
     lo, hi = f.domain
     if (x == lo or x == hi) and not f.periodic:
         # closure value of the edge piece
-        piece = f.pieces[0] if x == lo else f.pieces[-1]
-        return eval_expr(piece, x)
+        return _value(f, 0 if x == lo else len(f.pieces) - 1, x)
     if x == lo or x in f.breakpoints:
         left, right = one_sided_limits(f, x)
         return (left + right) / 2.0
-    return eval_expr(f.pieces[_piece_index(f, x)], x)
+    return _value(f, _piece_index(f, x), x)
 
 
 def true_jump(f: PiecewiseFunction, x: float) -> float:
@@ -335,18 +311,21 @@ def true_jump(f: PiecewiseFunction, x: float) -> float:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+# every character is in one match: a token, a whitespace run (str.isspace,
+# as re's \s is) or a character no token starts with
 _TOKEN_RE = re.compile(
     r"""
     (?P<num>(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?)
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<sym>[-+*/^()\[\]{};:,])
+  | (?P<space>\s+)
+  | (?P<bad>.)
 """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # num | name | sym | end
     text: str
     line: int
@@ -354,29 +333,21 @@ class _Token:
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of text, each with its 1-based line and column."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise SpecSyntaxError(f"unexpected character {ch!r}", line, col)
+    line, start = 1, 0  # start: the index at which the line begins
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tok = m.group()
-        tokens.append(_Token(kind, tok, line, col))
-        col += len(tok)
-        i = m.end()
-    tokens.append(_Token("end", "", line, col))
+        if kind == "space":
+            run = m.group()
+            if "\n" in run:
+                line += run.count("\n")
+                start = m.start() + run.rindex("\n") + 1
+        elif kind == "bad":
+            raise SpecSyntaxError(f"unexpected character {m.group()!r}", line, m.start() - start + 1)
+        else:
+            tokens.append(_Token(kind, m.group(), line, m.start() - start + 1))
+    tokens.append(_Token("end", "", line, len(text) - start + 1))
     return tokens
 
 
@@ -471,12 +442,16 @@ class _Parser:
         self.error(f"unexpected token {tok.text!r}", tok)
 
     def parse_const(self, what: str) -> float:
-        """A constant expression (no x); used where the grammar says number."""
+        """A finite constant expression (no x); used where the grammar says number."""
         tok = self.peek()
         expr = self.parse_expr()
         if _uses_var(expr):
             self.error(f"{what} must be constant", tok)
-        return eval_expr(expr, 0.0)
+        with np.errstate(all="ignore"):
+            value = float(eval_expr_array(expr, np.zeros(1))[0])
+        if not math.isfinite(value):
+            self.error(f"{what} is not finite", tok)
+        return value
 
     def parse_interval(self) -> tuple[float, float]:
         tok = self.next()
@@ -581,7 +556,7 @@ def _assemble(lo, hi, periodic, pieces, jumps) -> PiecewiseFunction:
 
 
 # ---------------------------------------------------------------------------
-# Pretty-printer (round-trips through the parser)
+# Pretty-printer for error messages (round-trips through the parser)
 # ---------------------------------------------------------------------------
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
@@ -613,24 +588,3 @@ def _format_expr(expr: Expression, parent_prec: int = 0) -> str:
     right = _format_expr(expr.right, prec + 1)
     s = f"{left} {expr.op} {right}"
     return f"({s})" if parent_prec > prec else s
-
-
-def format_function_spec(f: PiecewiseFunction) -> str:
-    """Render a PiecewiseFunction back to spec text."""
-    lo, hi = f.domain
-    head = f"domain [{repr(lo)},{repr(hi)}]"
-    if f.periodic:
-        head += " periodic"
-    parts = [head]
-    edges = f.edges
-    if len(f.pieces) == 1:
-        parts.append(f"piece {_format_expr(f.pieces[0])}")
-    else:
-        for i, expr in enumerate(f.pieces):
-            parts.append(
-                f"piece {_format_expr(expr)} on ({repr(edges[i])},{repr(edges[i + 1])})"
-            )
-    if f.jump_metadata:
-        body = ", ".join(f"{repr(a)}: {repr(b)}" for a, b in f.jump_metadata)
-        parts.append(f"jumps {{{body}}}")
-    return "; ".join(parts)

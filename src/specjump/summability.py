@@ -12,8 +12,10 @@ import math
 from functools import lru_cache
 from typing import Sequence
 
-from .coefficients import A_k, FourierSeries
-from .tails import JumpEstimate
+import numpy as np
+
+from .coefficients import FourierSeries, _conjugate_terms
+from .tails import JumpEstimate, _SuffixSums
 
 __all__ = [
     "cesaro_weights",
@@ -74,13 +76,19 @@ def diff_series_terms(series: FourierSeries, x: float, n: int) -> list[float]:
     """Terms k*(b_k cos kx - a_k sin kx) of the differentiated series, k=1..n."""
     if not (1 <= n <= series.K):
         raise ValueError(f"n={n} outside stored range 1..{series.K}")
-    return [-(k * A_k(series, x, k)) for k in range(1, n + 1)]
+    return (-(np.arange(1, n + 1, dtype=float) * _conjugate_terms(series, x, n))).tolist()
+
+
+def _fejer_mean(series: FourierSeries, x: float, n: int) -> float:
+    """The mean of the first n differentiated terms at x, which estimates
+    the jump over pi: their exact sum rounded once, math.fsum's value
+    wherever fsum returns one, divided by n."""
+    return _SuffixSums(diff_series_terms(series, x, n)).sum_from(0) / n
 
 
 def fejer_jump(series: FourierSeries, x: float, n: int) -> JumpEstimate:
     """Jump estimate pi/n * sum of the first n differentiated terms at x."""
-    terms = diff_series_terms(series, x, n)
-    value = math.pi * (math.fsum(terms) / n)
+    value = math.pi * _fejer_mean(series, x, n)
     return JumpEstimate(method="fejer", x0=x, n=n, value=value)
 
 

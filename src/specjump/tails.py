@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coefficients import A_k, AccuracyError, FourierSeries, _doubled_quadrature, _piece_values
+from .coefficients import AccuracyError, FourierSeries, _conjugate_terms, _doubled_quadrature, _piece_values
 from .funcspec import PiecewiseFunction, _piece_index, _wrap
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "jump_from_integrated",
     "conjugate_tail",
     "jump_from_conjugate",
-    "s_n_diagnostic",
     "v2_tail_diagnostic",
     "parseval_increment_check",
 ]
@@ -208,8 +207,7 @@ def _tail(series, x0, r, n, cfg, what: str, conjugate: bool):
     if hit is None or hit[0] != key:
         hit = _TERMS.clear()  # None: the old terms are dropped before the new ones are built
         ks = np.arange(1, K + 1, dtype=float)
-        A = series.a[:K] * np.sin(ks * x0) - series.b[:K] * np.cos(ks * x0)
-        hit = _TERMS[series] = (key, _SuffixSums(A / ks**p))
+        hit = _TERMS[series] = (key, _SuffixSums(_conjugate_terms(series, x0, K) / ks**p))
     raw = hit[1].sum_from(n - 1)
     value = raw if r % 2 == 0 else -raw
     # sum_{k>K} rho* K / k^(p+1) <= rho* / (p K^(p-1))
@@ -276,15 +274,6 @@ def jump_from_conjugate(
     """Jump estimate (-1)^(r+1) 2r pi n^(2r) times the conjugate tail."""
     parts = _tail(series, x0, r, n, cfg, "jump_from_conjugate", conjugate=True)
     return _jump("conjugate_tail", x0, r, n, *parts)
-
-
-def s_n_diagnostic(series: FourierSeries, x0: float, n: int) -> float:
-    """-(1/n) sum_{k=1}^{n} k A_k; estimates jump/pi and cross-checks the
-    Fejer estimator (pi times this value reproduces it bit for bit)."""
-    if not (1 <= n <= series.K):
-        raise ValueError(f"n={n} outside stored range 1..{series.K}")
-    terms = [k * A_k(series, x0, k) for k in range(1, n + 1)]
-    return -(_SuffixSums(terms).sum_from(0) / n)
 
 
 def v2_tail_diagnostic(series: FourierSeries, n_values: Sequence[int]) -> list[float]:

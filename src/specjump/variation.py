@@ -5,18 +5,18 @@ sequence.  Samples are expected to contain every local extremum and both
 one-sided values at jumps (the CLI sampler arranges this), so the grid
 supremum is the functional of the underlying function.
 
-p_variation and phi_variation range over chains (consecutive links sharing
-endpoints).  lambda_variation and modulus_of_variation range over families
-of index intervals with disjoint interiors; sharing an endpoint is allowed.
+p_variation ranges over chains (consecutive links sharing endpoints).
+lambda_variation, with harmonic weights, and modulus_of_variation range over
+families of index intervals with disjoint interiors; sharing an endpoint is
+allowed.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,10 +26,7 @@ __all__ = [
     "SampleSequence",
     "VariationReport",
     "ClassLabel",
-    "PowerPhi",
-    "LambdaSequence",
     "p_variation",
-    "phi_variation",
     "lambda_variation",
     "modulus_of_variation",
     "classify",
@@ -68,12 +65,12 @@ def _values(s) -> list[float]:
 _CELLS = 1 << 16
 
 
-def _chain_sum(rows, costs) -> list[float]:
-    """Per row v of samples: sup over chains i_0<...<i_m of sum
-    cost(|v_{i_{j+1}} - v_{i_j}|), by one O(n^2) DP over chain endpoints.
+def _chain_sum(rows, ps) -> list[float]:
+    """Per row v of samples and its p: sup over chains i_0<...<i_m of sum
+    |v_{i_{j+1}} - v_{i_j}|^p, by one O(n^2) DP over chain endpoints.
 
-    A cost turns a block d[j - j0, i] = |v_j - v_i| into costs in place; it
-    must keep the diagonal's +0.0, and entries i > j are not read."""
+    A block d[j - j0, i] = |v_j - v_i| is raised to p in place (the diagonal
+    keeps its +0.0); entries i > j are not read."""
     # rows equal up to the signs of zeros have the same link lengths
     index = {}
     inv = [index.setdefault(tuple(v), len(index)) for v in rows]
@@ -82,8 +79,8 @@ def _chain_sum(rows, costs) -> list[float]:
     step = max(1, _CELLS // best.size)
     for j0 in range(1, best.shape[1], step):
         c = np.abs(u[:, j0:j0 + step, None] - u[:, None, :j0 + step])[inv]
-        for d, cost in zip(c, costs):
-            cost(d)
+        for d, q in zip(c, ps):
+            d **= q
         best[:, j0:j0 + step] = (best[:, None, :j0] + c[:, :, :j0]).max(axis=2)
         for j in range(j0 + 1, j0 + c.shape[1]):
             best[:, j] = (best[:, j0:j + 1] + c[:, j - j0, j0:j + 1]).max(axis=1)
@@ -108,99 +105,9 @@ def p_variation(s, p):
     es = [1 - math.frexp(r)[1] if 0 < r < math.inf and not -1022 <= q * math.log2(r) <= 1000 else 0
           for q in ps]
     rows = [[math.ldexp(v, e) for v in vals] if e else vals for e in es]
-    sums = _chain_sum(rows, [lambda d, q=q: operator.ipow(d, q) for q in ps]) if ps else []
+    sums = _chain_sum(rows, ps) if ps else []
     out = [math.ldexp(t ** (1.0 / q), -e) for t, q, e in zip(sums, ps, es)]
     return out[0] if np.ndim(p) == 0 else out
-
-
-@dataclass(frozen=True)
-class PowerPhi:
-    """phi(u) = u**exponent; recognized exactly by phi_variation."""
-
-    exponent: float
-
-    def __post_init__(self):
-        if not self.exponent >= 1.0:
-            raise ValueError("exponent must be >= 1")
-
-    def __call__(self, u: float) -> float:
-        return u**self.exponent
-
-
-def phi_variation(s, phi) -> float:
-    """sup over chains of sum phi(|v_{i_{j+1}} - v_{i_j}|).
-
-    PowerPhi arguments raise whole blocks of link lengths to the exponent, as
-    p_variation does.  Other callables must satisfy phi(0) = 0 and are called
-    once per pair of samples, on Python floats; the chain DP evaluates the same
-    supremum a brute-force enumeration would, at any sample count.
-    """
-    vals = _values(s)
-    if isinstance(phi, PowerPhi):
-        return _chain_sum([vals], [lambda d: operator.ipow(d, phi.exponent)])[0]
-    if not callable(phi):
-        raise TypeError("phi must be callable or a PowerPhi")
-    if phi(0.0) != 0.0:
-        raise ValueError("phi(0) must be 0")
-
-    def cost(d):
-        below = np.tri(*d.shape, d.shape[1] - d.shape[0] - 1, dtype=bool)
-        d[below] = [phi(t) for t in d[below].tolist()]
-
-    return _chain_sum([vals], [cost])[0]
-
-
-# ---------------------------------------------------------------------------
-# Weight sequences for interval-family variation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LambdaSequence:
-    """A positive nondecreasing weight-denominator sequence with divergent
-    reciprocal sum.  Built-in constructors are validated symbolically;
-    custom callables are only checked pointwise on the prefix that gets used
-    (divergence of the reciprocal sum is taken on trust and documented).
-    """
-
-    name: str
-    func: Callable[[int], float] = field(compare=False)
-
-    @staticmethod
-    def harmonic() -> "LambdaSequence":
-        return LambdaSequence("harmonic", lambda t: float(t))
-
-    @staticmethod
-    def power(q: float) -> "LambdaSequence":
-        # sum of t^-q diverges iff q <= 1; nondecreasing needs q >= 0
-        if not (0.0 <= q <= 1.0):
-            raise ValueError("power exponent must lie in [0, 1]")
-        return LambdaSequence(f"power_{q:g}", lambda t: float(t) ** q)
-
-    @staticmethod
-    def constant() -> "LambdaSequence":
-        return LambdaSequence("constant", lambda t: 1.0)
-
-    def weights(self, count: int) -> list[float]:
-        """Reciprocals 1/lambda_t for t = 1..count, with prefix validation."""
-        lam_prev = 0.0
-        out = []
-        for t in range(1, count + 1):
-            lam = float(self.func(t))
-            if not math.isfinite(lam) or lam <= 0.0:
-                raise ValueError(f"lambda_{t} = {lam} is not positive and finite")
-            if lam < lam_prev:
-                raise ValueError(f"lambda sequence decreases at t={t}")
-            lam_prev = lam
-            out.append(1.0 / lam)
-        return out
-
-
-def _as_lambda(lam) -> LambdaSequence:
-    if isinstance(lam, LambdaSequence):
-        return lam
-    if callable(lam):
-        return LambdaSequence("custom", lam)
-    raise ValueError("lambda must be a LambdaSequence or a callable t -> lambda_t")
 
 
 # ---------------------------------------------------------------------------
@@ -341,19 +248,17 @@ def _rest_table(W: list[float], oscs: list[float]) -> Optional[memoryview]:
 
 def lambda_variation(
     s,
-    lam,
     max_intervals: Optional[int] = None,
     node_budget: int = 200_000,
 ) -> float:
-    """sup over interval families of sum |v_b - v_a| / lambda_t, the t-th
-    largest oscillation paired with lambda_t.
+    """sup over interval families of sum |v_b - v_a| / t, the t-th largest
+    oscillation weighted 1/t: the harmonic variation.
 
     Exact branch-and-bound over undominated candidate intervals, seeded by
     the per-count max-sum families.  If the search exceeds node_budget (very
     irregular data) the best value found is returned and a PrecisionWarning
     reports the gap to an upper bound; a completed search is exact.
     """
-    lam = _as_lambda(lam)
     if max_intervals is not None and max_intervals < 1:
         raise ValueError("max_intervals must be >= 1")
     v = _reduce_extrema(_values(s))
@@ -367,7 +272,7 @@ def lambda_variation(
     mcap = min(ncand, n - 1)
     if max_intervals is not None:
         mcap = min(mcap, max_intervals)
-    W = lam.weights(mcap)
+    W = [1.0 / t for t in range(1, mcap + 1)]
     oscs = [c[0] for c in cands]
 
     # incumbent: best max-sum family per interval count, canonically valued
@@ -583,7 +488,7 @@ def build_report(s, grid_density: Optional[int] = None) -> VariationReport:
     vals = _values(s)
     return VariationReport(
         p_variation=dict(zip(_P_GRID, p_variation(vals, _P_GRID))),
-        harmonic_variation=lambda_variation(vals, LambdaSequence.harmonic()),
+        harmonic_variation=lambda_variation(vals),
         modulus=tuple(modulus_of_variation(vals, min(_MODULUS_N_MAX, max(1, len(vals) - 1)))),
         grid_density=grid_density,
     )

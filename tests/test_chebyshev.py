@@ -3,7 +3,6 @@ on [-1, 1]."""
 
 import math
 import random
-import warnings
 
 import numpy as np
 import pytest
@@ -14,13 +13,11 @@ import specjump as sj
 from specjump.chebyshev import (
     ChebyshevTailConfig,
     _clenshaw,
-    chebyshev_tail,
     integrated_chebyshev_tail,
     jump_from_chebyshev,
     sawtooth_tail_bound_check,
 )
 from specjump.coefficients import ChebyshevSeries, chebyshev_coefficients
-from specjump.tails import PrecisionWarning
 
 from conftest import SIGN_X_SPEC, routes_agree, theta_route_integrated_tail
 
@@ -48,14 +45,14 @@ def test_endpoints_are_rejected():
     cfg = ChebyshevTailConfig(n=1)
     for x in (1.0, -1.0, 1.5):
         with pytest.raises(ValueError, match=r"strictly inside \(-1, 1\)"):
-            chebyshev_tail(SIGN_CHEB_4096, x, cfg)
+            integrated_chebyshev_tail(SIGN_CHEB_4096, x, cfg)
     with pytest.raises(ValueError, match=r"within 1e-8 of x = \+/-1"):
         jump_from_chebyshev(SIGN_CHEB_4096, 1.0 - 1e-9, cfg)
 
 
 def test_k_cap_below_n_rejected():
     with pytest.raises(ValueError, match="K_cap=5 smaller than tail start n=8"):
-        chebyshev_tail(SIGN_CHEB_4096, 0.0, ChebyshevTailConfig(n=8, K_cap=5))
+        integrated_chebyshev_tail(SIGN_CHEB_4096, 0.0, ChebyshevTailConfig(n=8, K_cap=5))
 
 
 # ---------------------------------------------------------------------------
@@ -64,20 +61,17 @@ def test_k_cap_below_n_rejected():
 
 def test_tail_beyond_the_last_mode_is_zero():
     s = single_mode(2)
-    assert chebyshev_tail(s, 0.3, ChebyshevTailConfig(n=3)) == 0.0
+    assert integrated_chebyshev_tail(s, 0.3, ChebyshevTailConfig(n=3)) == 0.0
 
 
 def test_tail_at_cos_theta_matches_the_cosine_sum():
+    # the Clenshaw sum of sum_{k>=n} c_k T_k at x = cos theta
     c = SIGN_CHEB_4096.c
     worst = 0.0
     for n in (1, 5, 32):
         for theta in (0.4, 1.1, 2.2):
             direct = math.fsum(c[k] * math.cos(k * theta) for k in range(n, 4097))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", PrecisionWarning)
-                got = chebyshev_tail(
-                    SIGN_CHEB_4096, math.cos(theta), ChebyshevTailConfig(n=n)
-                )
+            got = _clenshaw([0.0] * n + c[n:].tolist(), math.cos(theta))
             worst = max(worst, abs(got - direct))
     assert worst <= 1e-12
 
@@ -95,16 +89,6 @@ def test_clenshaw_has_the_bits_of_numpy_chebval(c, x):
     assert _clenshaw(c, x).hex() == want.hex()
 
 
-def test_sign_tail_pin():
-    v = chebyshev_tail(SIGN_CHEB_4096, 0.5, ChebyshevTailConfig(n=1))
-    assert v == 1.0001553108479349
-
-
-def test_truncation_warning_fires_near_the_cutoff_scale():
-    with pytest.warns(PrecisionWarning, match="truncation bound"):
-        chebyshev_tail(SIGN_CHEB_4096, math.cos(1.1), ChebyshevTailConfig(n=32))
-
-
 def test_power_of_two_scaling_is_exact():
     doubled = ChebyshevSeries(
         SIGN_CHEB_4096.K,
@@ -113,11 +97,6 @@ def test_power_of_two_scaling_is_exact():
     )
     for x in (-0.6, 0.1, 0.77):
         cfg = ChebyshevTailConfig(n=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", PrecisionWarning)
-            assert chebyshev_tail(doubled, x, cfg) == 2.0 * chebyshev_tail(
-                SIGN_CHEB_4096, x, cfg
-            )
         assert integrated_chebyshev_tail(doubled, x, cfg) == 2.0 * (
             integrated_chebyshev_tail(SIGN_CHEB_4096, x, cfg)
         )

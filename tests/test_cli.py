@@ -12,9 +12,10 @@ import pytest
 import specjump
 from specjump import cli, tails
 from specjump.cli import main
-from specjump.coefficients import FourierSeries, sawtooth_series, series_to_json
+from specjump.coefficients import FourierSeries, series_to_json
 
 from conftest import SAWTOOTH_SPEC, SIGN_SPEC
+from reference import s_n_diagnostic, sawtooth_series
 
 
 @pytest.fixture()
@@ -177,7 +178,7 @@ def test_an_empty_entry_inside_a_list_is_an_error_not_a_shorter_list(
 )
 def test_a_non_finite_point_is_an_error_not_a_nan_row(capsys, tmp_path, point, command, flags):
     series = tmp_path / "saw.json"
-    series.write_text(series_to_json(specjump.sawtooth_series(1000)), encoding="utf-8")
+    series.write_text(series_to_json(sawtooth_series(1000)), encoding="utf-8")
     rc, out, err = run_cli(
         capsys, "--command", command, "--input", str(series), f"--points={point}", *flags
     )
@@ -267,6 +268,30 @@ def test_malformed_series_json_exits_1_with_one_error_line(capsys, tmp_path, tex
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("provenance", [[1], {"a": 1}], ids=["list", "dict"])
+@pytest.mark.parametrize(
+    "kind, argv",
+    [
+        ("fourier", ("--command", "detect", "--method", "integrated", "--points=0.5", "--n-list", "5,10")),
+        ("fourier", ("--command", "detect", "--method", "fejer", "--points=0.5", "--n-list", "5,10")),
+        ("fourier", ("--command", "coeffs")),
+        ("chebyshev", ("--command", "detect", "--method", "chebyshev", "--points=0.5", "--n-list", "5,10")),
+    ],
+    ids=["integrated", "fejer", "coeffs", "chebyshev"],
+)
+def test_a_provenance_that_is_not_a_string_exits_1_with_one_error_line(
+    capsys, tmp_path, provenance, kind, argv
+):
+    # a list or dict provenance once reached the tail memos, whose keys hash it
+    fields = {"a0_half": 0.0, "a": [1.0] * 20, "b": [0.5] * 20} if kind == "fourier" else {"c": [1.0] * 21}
+    p = tmp_path / "series.json"
+    p.write_text(json.dumps({"kind": kind, "K": 20, **fields, "provenance": provenance}), encoding="utf-8")
+    rc, out, err = run_cli(capsys, *argv, "--input", str(p))
+    assert (rc, out) == (1, "")
+    assert err == f"error: {p}: series JSON field 'provenance' must be a string\n"
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -541,6 +566,22 @@ def test_diagnose_partial_sums(capsys, saw_spec):
     lines = out.strip().splitlines()
     assert lines[0] == "n,s_n,pi_s_n"
     assert lines[1] == "10,1.0,3.141592653589793"
+
+
+@pytest.mark.parametrize("x", [0.0, 1.0, -2.5])
+def test_diagnose_partial_sums_print_s_n_bit_for_bit(capsys, tmp_path, x):
+    # s_n = -(1/n) sum k A_k, from the Fejer mean; an exact zero prints -0.0
+    zero = FourierSeries(20, 0.0, [0.0] * 20, [0.0] * 20)
+    for name, s in (("saw", sawtooth_series(1000)), ("zero", zero)):
+        p = tmp_path / f"{name}.json"
+        p.write_text(series_to_json(s), encoding="utf-8")
+        ns = [1, 10, 20] if name == "zero" else [1, 10, 100, 1000]
+        rc, out, err = run_cli(capsys, "--command", "diagnose", "--input", str(p), "--check", "sn",
+                               f"--points={x!r}", "--n-list", ",".join(map(str, ns)))
+        assert (rc, err) == (0, "")
+        want = [f"{n},{s_n_diagnostic(s, x, n)!r},{math.pi * s_n_diagnostic(s, x, n)!r}" for n in ns]
+        assert out.splitlines() == ["n,s_n,pi_s_n"] + want
+    assert want[0] == "1,-0.0,-0.0"
 
 
 def test_diagnose_partial_sums_want_exactly_one_point(capsys, saw_spec):

@@ -12,11 +12,12 @@ import pytest
 import specjump
 from specjump import cli
 from specjump.cli import main
-from specjump.coefficients import fourier_coefficients, sawtooth_series, series_to_json
+from specjump.coefficients import fourier_coefficients, series_to_json
 from specjump.funcspec import parse_function_spec
 from specjump.summability import cesaro_jump
 
 from conftest import SAWTOOTH_SPEC
+from reference import sawtooth_series
 
 _METHODS = ("fejer", "cesaro", "integrated", "conjugate", "chebyshev")
 _CHECKS = ("v2", "parseval", "sn", "sawtooth_bound")

@@ -24,27 +24,24 @@ from scipy.integrate import IntegrationWarning, quad
 import specjump as sj
 from specjump import coefficients
 from specjump.coefficients import (
-    A_k,
     _CF_CHUNK,
     _closed_form_chebyshev,
     _closed_form_fourier,
+    _conjugate_terms,
     _phase,
     ChebyshevSeries,
     FourierSeries,
     chebyshev_coefficients,
     fourier_coefficients,
-    jump_part_series,
-    partial_sum,
-    rho,
-    sawtooth_series,
     series_from_json,
     series_to_json,
 )
 from specjump import funcspec
-from specjump.funcspec import BinOp, Call, Neg, eval_expr, eval_expr_array
+from specjump.funcspec import BinOp, Call, Neg, eval_expr_array
 from specjump.tails import AccuracyError, parseval_increment_check
 
 from conftest import SAWTOOTH_SPEC, SIGN_COS_SPEC, SIGN_SPEC, SIGN_X_SPEC
+from reference import A_k, eval_expr, jump_part_series, sawtooth_series
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +299,7 @@ def _old_values(expr, x):
         arg = _old_values(expr.arg, x)
         if expr.name in ("sin", "cos", "exp"):
             return np.fromiter(map(getattr(math, expr.name), arg.tolist()), float, arg.size)
-        return funcspec._ARRAY_FUNCTIONS[expr.name](arg)
+        return funcspec._FUNCTIONS[expr.name](arg)
     if isinstance(expr, Neg):
         return -_old_values(expr.operand, x)
     if isinstance(expr, BinOp) and expr.op != "^":
@@ -504,7 +501,7 @@ def test_parseval_identity_on_linear_ramp():
     K = 2000
     s = fourier_coefficients(f, K)
     lhs = 2.0 * math.pi**2 / 3.0
-    rhs = 2.0 * s.a0_half**2 + math.fsum(rho(s, k) ** 2 for k in range(1, K + 1))
+    rhs = 2.0 * s.a0_half**2 + math.fsum(math.hypot(a, b) ** 2 for a, b in zip(s.a, s.b))
     assert 0.0 < lhs - rhs <= 4.0 / K * 1.05
 
 
@@ -667,43 +664,48 @@ def test_zero_function_gives_exact_zeros():
 
 
 # ---------------------------------------------------------------------------
-# Series access helpers
+# Series terms, and the reference series of the tests
 # ---------------------------------------------------------------------------
 
 def test_a_k_of_sawtooth_at_zero():
     s = sawtooth_series(100)
-    for k in range(1, 101):
-        assert A_k(s, 0.0, k) == -(1.0 / k)
+    assert _conjugate_terms(s, 0.0, 100).tolist() == [-(1.0 / k) for k in range(1, 101)]
 
 
 def test_a_k_bounded_by_rho():
     s = fourier_coefficients(sj.parse_function_spec(SAWTOOTH_SPEC), 50)
-    for k in range(1, 51):
-        r = rho(s, k)
-        for x in (-2.0, -0.3, 0.0, 1.1, 3.0):
-            assert abs(A_k(s, x, k)) <= r * (1.0 + 1e-15)
-
-
-def test_rho_is_the_amplitude():
-    s = FourierSeries(1, 0.0, (3.0,), (4.0,), provenance="synthetic")
-    assert rho(s, 1) == 5.0
-    assert rho(sawtooth_series(10), 5) == 0.2
+    rho = np.hypot(s.a, s.b)
+    for x in (-2.0, -0.3, 0.0, 1.1, 3.0):
+        assert np.all(np.abs(_conjugate_terms(s, x, 50)) <= rho * (1.0 + 1e-15))
 
 
 def test_index_out_of_range_rejected():
+    # every function that reads n terms of a series checks n against K
     s = sawtooth_series(10)
-    with pytest.raises(ValueError, match="k=11 outside stored range 1..10"):
-        A_k(s, 0.0, 11)
-    with pytest.raises(ValueError, match="outside stored range"):
-        rho(s, 0)
+    for fn in (sj.diff_series_terms, sj.fejer_jump):
+        with pytest.raises(ValueError, match="n=11 outside stored range 1..10"):
+            fn(s, 0.0, 11)
+        with pytest.raises(ValueError, match="n=0 outside stored range"):
+            fn(s, 0.0, 0)
 
 
-def test_partial_sum_values():
-    s = sawtooth_series(200)
-    assert partial_sum(s, math.pi / 2, 1) == 1.0
-    assert abs(partial_sum(s, math.pi / 2, 50) - math.pi / 4) <= 0.02
-    zero = FourierSeries(3, 0.0, (0.0,) * 3, (0.0,) * 3, provenance="synthetic")
-    assert partial_sum(zero, 1.2, 3) == 0.0
+# signed zeros, subnormals, large arguments whose k x leave the float
+# range's integers behind, and the breakpoints of the series below
+_TERM_XS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e5, -1e5, -7e7,
+            math.pi, -math.pi, math.pi / 2, -math.pi / 2, 0.3, -2.0)
+
+
+@pytest.mark.parametrize("x", _TERM_XS)
+def test_conjugate_terms_have_the_bits_of_the_scalar_a_k(x):
+    rng = np.random.default_rng(7)
+    a, b = rng.standard_normal((2, 300))
+    a[::7], b[::5] = 0.0, -0.0
+    for s in (sawtooth_series(300), jump_part_series([(0.3, 1.5), (-2.0, -0.5)], 300),
+              fourier_coefficients(sj.parse_function_spec(SIGN_COS_SPEC), 300),
+              FourierSeries(300, 0.0, a, b, provenance="synthetic")):
+        want = [A_k(s, x, k) for k in range(1, s.K + 1)]
+        for K in (1, 17, s.K):
+            assert _conjugate_terms(s, x, K).tobytes() == np.array(want[:K]).tobytes(), (x, K)
 
 
 def test_sawtooth_series_is_the_single_jump_series():
@@ -749,11 +751,8 @@ def test_public_values_are_python_floats():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sj.PrecisionWarning)
         for label, s in _series_three_ways("fourier").items():
+            got += [("diff_series_terms", label, t) for t in sj.diff_series_terms(s, 0.3, 3)]
             got += [
-                ("A_k", label, A_k(s, 0.3, 5)),
-                ("rho", label, rho(s, 5)),
-                ("partial_sum", label, partial_sum(s, 0.3, 10)),
-                ("s_n_diagnostic", label, sj.s_n_diagnostic(s, 0.3, 10)),
                 ("integrated_tail", label, sj.integrated_tail(s, 0.3, 0, 10)),
                 ("conjugate_tail", label, sj.conjugate_tail(s, 0.3, 1, 10)),
             ]
@@ -765,14 +764,13 @@ def test_public_values_are_python_floats():
                 e = jump(s, 0.3, r, 10)
                 got += [(e.method, label, e.value), (e.method + " bound", label, e.remainder_bound)]
         for label, s in _series_three_ways("chebyshev").items():
-            got.append(("chebyshev_tail", label, sj.chebyshev_tail(s, 0.5, Cfg(n=10))))
             for n in (1, 10):
                 tail = sj.integrated_chebyshev_tail(s, 0.5, Cfg(n=n))
                 e = sj.jump_from_chebyshev(s, 0.5, Cfg(n=n))
                 assert e.remainder_bound is None
                 got.append((f"integrated_chebyshev_tail n={n}", label, tail))
                 got.append((f"jump_from_chebyshev n={n}", label, e.value))
-    assert len(got) == 3 * 14 + 3 * 5
+    assert len(got) == 3 * 13 + 3 * 4
     assert [(what, label, type(v).__name__) for what, label, v in got if type(v) is not float] == []
 
 

@@ -22,11 +22,12 @@ from specjump.funcspec import (
     SpecSyntaxError,
     Var,
     _FUNCTIONS,
-    eval_expr,
+    _tokenize,
     eval_expr_array,
 )
 
 from conftest import SAWTOOTH_SPEC, SIGN_SPEC, SIGN_X_SPEC
+from reference import eval_expr, format_function_spec, tokenize_per_character
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +130,33 @@ def test_non_periodic_edges_use_the_closing_piece():
     f = sj.parse_function_spec(SIGN_X_SPEC)
     assert sj.evaluate(f, -1.0) == -1.0
     assert sj.evaluate(f, 1.0) == 1.0
+
+
+@pytest.mark.parametrize(
+    "spec, query, message",
+    [
+        ("domain [-1, 1]; piece 1/x", (sj.evaluate, 0.0), "piece 1 (1.0 / x) is not finite at x = 0.0"),
+        ("domain [-1, 1]; piece 0 on [-1, 0); piece 1/x on (0, 1]", (sj.one_sided_limits, 0.0),
+         "piece 2 (1.0 / x) is not finite at x = 0.0"),
+        ("domain [-1, 1]; piece sqrt(x) on [-1, 0.5); piece 1 on (0.5, 1]", (sj.true_jump, -0.5),
+         "piece 1 (sqrt(x)) is not finite at x = -0.5"),
+        ("domain [0, 1]; piece exp(1000*x)", (sj.evaluate, 1.0),
+         "piece 1 (exp(1000.0 * x)) is not finite at x = 1.0"),
+    ],
+)
+def test_a_point_value_that_is_not_finite_raises_naming_the_piece_and_x(spec, query, message):
+    fn, x = query
+    with pytest.raises(ValueError) as ei:
+        fn(sj.parse_function_spec(spec), x)
+    assert str(ei.value) == message
+
+
+def test_a_constant_that_is_not_finite_is_a_syntax_error():
+    for text, col in (("domain [0, 1/0]; piece x", 12), ("domain [0, 1]; piece x; jumps {0.5: sqrt(-1)}", 37),
+                      ("domain [0, 1e308*10]; piece x", 12), ("domain [-exp(800), 1]; piece x", 9)):
+        with pytest.raises(SpecSyntaxError, match="is not finite") as ei:
+            sj.parse_function_spec(text)
+        assert (ei.value.line, ei.value.col) == (1, col), text
 
 
 def test_non_periodic_out_of_domain_raises():
@@ -270,6 +298,29 @@ def test_line_and_column_track_newlines():
     assert (ei.value.line, ei.value.col) == (2, 1)
 
 
+_SPACES = " \t\r\n\x0b\x0c\x1c\x85\xa0\u2003\u2028\u3000"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.sampled_from(["domain", "piece", "x", "pi", "sin", "1", "2.5e-3", ".5", "7.", "(", ")", "[",
+                     "]", ";", ",", ":", "{", "}", "^", "-", "+", "*", "/", "\r\n", "\n\n\n"]),
+    st.text(alphabet=_SPACES, min_size=1, max_size=6),
+    st.text(alphabet="#$@!?\u00e9\u0663\u00b2\x00", min_size=1, max_size=2),
+    st.text(max_size=3),
+), max_size=30).map("".join))
+def test_the_tokenizer_matches_the_per_character_one(text):
+    # whitespace is str.isspace(), Unicode spaces and line separators
+    # included; only "\n" starts a new line
+    def outcome(tokenize):
+        try:
+            return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+        except SpecSyntaxError as exc:
+            return ("error", str(exc), exc.line, exc.col)
+
+    assert outcome(_tokenize) == outcome(tokenize_per_character)
+
+
 def test_unknown_function_is_an_arity_error():
     with pytest.raises(SpecArityError, match="unknown function 'foo'"):
         sj.parse_function_spec("domain [0, 1]; piece foo(x)")
@@ -359,10 +410,10 @@ def test_interval_endpoints_must_be_constant():
 )
 def test_named_specs_round_trip(text):
     f = sj.parse_function_spec(text)
-    printed = sj.format_function_spec(f)
+    printed = format_function_spec(f)
     again = sj.parse_function_spec(printed)
     assert again == f
-    assert sj.format_function_spec(again) == printed
+    assert format_function_spec(again) == printed
 
 
 def _expr_strategy():
@@ -402,5 +453,5 @@ def _expr_strategy():
 @given(_expr_strategy())
 def test_expression_print_parse_round_trip(expr):
     g = PiecewiseFunction(domain=(0.0, 1.0), breakpoints=(), pieces=(expr,))
-    printed = sj.format_function_spec(g)
+    printed = format_function_spec(g)
     assert sj.parse_function_spec(printed) == g

@@ -27,6 +27,7 @@ from specjump.tails import (
 )
 
 from conftest import SAWTOOTH_SPEC, SIGN_SPEC, SIGN_X_SPEC
+from reference import sawtooth_series
 
 CHEB_SAW_SPEC = "domain [-1, 1]; piece (x + 1)/2 on [-1, 0); piece (x - 1)/2 on (0, 1]"
 
@@ -166,7 +167,7 @@ def test_chebyshev_integrated_tails_have_the_bits_of_a_build_per_n(data):
 
 def test_the_memos_do_not_keep_a_series_alive():
     K = 300
-    fourier = sj.sawtooth_series(K)
+    fourier = sawtooth_series(K)
     cheb = ChebyshevSeries(K, [1.0 / (1 + k) for k in range(K + 1)])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PrecisionWarning)
@@ -185,7 +186,7 @@ def test_the_memos_do_not_keep_a_series_alive():
 )
 @pytest.mark.parametrize("conjugate", [False, True])
 def test_one_point_builds_its_fourier_terms_once_for_any_schedule(ns, conjugate):
-    series, cfg = sj.sawtooth_series(5000), TailSumConfig()
+    series, cfg = sawtooth_series(5000), TailSumConfig()
     tail = conjugate_tail if conjugate else integrated_tail
     build = tails._SuffixSums.__init__
     with mock.patch.object(tails._SuffixSums, "__init__", autospec=True, side_effect=build) as init:
@@ -199,7 +200,7 @@ def test_one_point_builds_its_fourier_terms_once_for_any_schedule(ns, conjugate)
 
 def test_a_memo_lookup_compares_no_arrays():
     # a lookup finds its series by identity, not by comparing 5000 entries with themselves
-    fourier = sj.sawtooth_series(5000)
+    fourier = sawtooth_series(5000)
     cheb = ChebyshevSeries(5000, [1.0 / (1 + k) for k in range(5001)])
     with mock.patch.object(np, "array_equal", wraps=np.array_equal) as compare:
         with warnings.catch_warnings():

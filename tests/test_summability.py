@@ -2,21 +2,24 @@
 
 import math
 import random
+from fractions import Fraction
 from math import exp, lgamma
 
+import numpy as np
 import pytest
 
-from specjump.coefficients import FourierSeries, sawtooth_series
+from specjump.coefficients import FourierSeries
 from specjump.summability import (
+    _fejer_mean,
     cesaro_jump,
     cesaro_mean,
     cesaro_weights,
     diff_series_terms,
     fejer_jump,
 )
-from specjump.tails import s_n_diagnostic
 
 from conftest import sign_fourier_series
+from reference import A_k, jump_part_series, s_n_diagnostic, sawtooth_series
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +216,35 @@ def test_cesaro_alpha_one_equals_fejer_bitwise():
         assert ce.alpha == 1.0 and fe.alpha is None
         # the average of the differentiated terms is the same diagnostic
         assert math.pi * s_n_diagnostic(ser, x, n) == fe.value
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -1e-310, 1e5, -7e7, math.pi, 0.3, -1.0])
+def test_differentiated_terms_and_the_fejer_mean_have_the_bits_of_the_scalar_code(x):
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((2, 257))
+    a[::4] = -0.0
+    for s in (sawtooth_series(257), jump_part_series([(-1.0, 2.0), (0.3, -1.0)], 257),
+              FourierSeries(257, 0.0, a, b), FourierSeries(257, 0.0, [0.0] * 257, [0.0] * 257)):
+        for n in (1, 2, 100, 257):
+            terms = diff_series_terms(s, x, n)
+            assert np.array(terms).tobytes() == np.array([-(k * A_k(s, x, k)) for k in range(1, n + 1)]).tobytes()
+            assert all(type(t) is float for t in terms)
+            # s_n = -(1/n) sum k A_k: the mean, but for the sign of an exact zero
+            want = s_n_diagnostic(s, x, n)
+            assert _fejer_mean(s, x, n) == want and (want != 0.0 or repr(want) == "-0.0")
+            assert fejer_jump(s, x, n).value == math.pi * (math.fsum(terms) / n)
+
+
+def test_the_fejer_mean_keeps_a_finite_sum_past_an_intermediate_overflow():
+    # terms -1e308, -1e308, 1e308: fsum's running sum overflows, the exact sum does not
+    s = FourierSeries(3, 0.0, [0.0] * 3, [-1e308, -1e308 / 2, 1e308 / 3])
+    terms = diff_series_terms(s, 0.0, 3)
+    with pytest.raises(OverflowError):
+        math.fsum(terms)
+    exact = float(sum(map(Fraction, terms)))
+    assert math.isfinite(exact)
+    assert _fejer_mean(s, 0.0, 3) == exact / 3
+    assert fejer_jump(s, 0.0, 3).value == math.pi * (exact / 3)
 
 
 def test_cesaro_sawtooth_alpha_one_is_exact():

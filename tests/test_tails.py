@@ -14,8 +14,8 @@ from specjump.coefficients import (
     AccuracyError,
     FourierSeries,
     fourier_coefficients,
-    sawtooth_series,
 )
+from specjump.summability import _fejer_mean
 from specjump.tails import (
     JumpEstimate,
     PrecisionWarning,
@@ -25,11 +25,11 @@ from specjump.tails import (
     jump_from_conjugate,
     jump_from_integrated,
     parseval_increment_check,
-    s_n_diagnostic,
     v2_tail_diagnostic,
 )
 
 from conftest import SAWTOOTH_SPEC, SIGN_SPEC, SIGN_X_SPEC, sign_fourier_series
+from reference import sawtooth_series
 
 SAW_1M = sawtooth_series(10**6)
 CFG_1M = TailSumConfig(K_cap=10**6)
@@ -230,16 +230,18 @@ def test_euler_factor_limits():
 # Partial-sum diagnostics
 # ---------------------------------------------------------------------------
 
+# s_n, which `diagnose --check sn` prints, is the Fejer mean
+
 def test_s_n_diagnostic_sawtooth_is_exactly_one():
     for n in (1, 7, 100, 377, 1024, 2048):
-        assert s_n_diagnostic(SAW_1M, 0.0, n) == 1.0
+        assert _fejer_mean(SAW_1M, 0.0, n) == 1.0
 
 
 def test_s_n_diagnostic_telescopes():
     # n d_n - (n-1) d_{n-1} recovers the n-th differentiated term
     prev = None
     for n in range(1, 1001):
-        d = s_n_diagnostic(SAW_1M, 0.0, n)
+        d = _fejer_mean(SAW_1M, 0.0, n)
         if prev is not None:
             term = n * (1.0 / n)
             assert abs(n * d - (n - 1) * prev - term) <= 64 * math.ulp(float(n))

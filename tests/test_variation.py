@@ -15,10 +15,9 @@ import specjump as sj
 from specjump import variation as var
 from specjump.cli import sample_for_variation
 from specjump.tails import PrecisionWarning
+from specjump.funcspec import PiecewiseFunction
 from specjump.variation import (
     ClassLabel,
-    LambdaSequence,
-    PowerPhi,
     SampleSequence,
     VariationReport,
     build_report,
@@ -26,7 +25,6 @@ from specjump.variation import (
     lambda_variation,
     modulus_of_variation,
     p_variation,
-    phi_variation,
 )
 
 from conftest import (
@@ -37,6 +35,7 @@ from conftest import (
     brute_modulus,
     brute_p_variation,
 )
+from reference import evaluate, one_sided_limits, sample_per_point
 
 finite_samples = st.lists(
     st.floats(min_value=-100.0, max_value=100.0, allow_nan=False),
@@ -95,45 +94,11 @@ def test_p_variation_rejects_p_below_one():
 
 
 def test_phi_variation_examples():
+    # the phi-variation for phi(u) = u^p: the chain sum p_variation roots
     zig = [0.0, 1.0, 0.0, 1.0]
-    assert phi_variation(zig, PowerPhi(2.0)) == 3.0
-    assert phi_variation(zig, lambda u: u) == p_variation(zig, 1.0)
-    assert phi_variation([0.0, 1.0], PowerPhi(3.0)) == 1.0
-
-
-def test_phi_variation_general_callable_guards():
-    # a general phi takes any sample count
-    zig = [float(i % 2) for i in range(40)]
-    assert phi_variation(zig, lambda u: u) == p_variation(zig, 1.0) == 39.0
-    with pytest.raises(ValueError, match=r"phi\(0\) must be 0"):
-        phi_variation([0.0, 1.0], lambda u: u + 1.0)
-    with pytest.raises(ValueError, match="exponent must be >= 1"):
-        PowerPhi(0.5)
-
-
-def _phi_variation_by_loop(v, phi):
-    """The general-phi chain DP as a loop over Python floats, one pair at a
-    time: the reference for the column form every chain functional uses."""
-    n = len(v)
-    if n < 2:
-        return 0.0
-    best = [0.0] * n
-    for j in range(1, n):
-        best[j] = max(best[i] + phi(abs(v[j] - v[i])) for i in range(j))
-    return max(best)
-
-
-_PHIS = {"sqrt": math.sqrt, "min1": lambda u: min(u, 1.0), "cube": lambda u: u**3}
-
-
-@settings(max_examples=150, deadline=None)
-@given(v=_tied_samples, phi=st.sampled_from(sorted(_PHIS)))
-@example(v=[0.0, 1.0, 1.0, 0.0, 2.0, 2.0, -1.0] * 8, phi="min1")
-def test_general_phi_matches_the_pairwise_loop_bit_for_bit(v, phi):
-    want = _phi_variation_by_loop(v, _PHIS[phi])
-    got = phi_variation(v, _PHIS[phi])
-    assert type(got) is float
-    assert got == want
+    assert var._chain_sum([zig], [2.0]) == [3.0]
+    assert var._chain_sum([zig], [1.0]) == [p_variation(zig, 1.0)]
+    assert var._chain_sum([[0.0, 1.0]], [3.0]) == [1.0]
 
 
 def test_chain_dp_matches_exhaustive_search():
@@ -251,77 +216,40 @@ def test_the_p_grid_raises_each_p_with_its_own_scalar_pow():
         _assert_p_grid_matches_the_columns([0.0, t, 0.0])
 
 
-def test_general_phi_is_called_once_per_pair_in_every_block_size():
-    v = [math.sin(3.0 * k) for k in range(23)]
-    for cells in _cells_for(len(v)):
-        calls = []
-
-        def phi(t):
-            calls.append(t)
-            return min(t, 1.0)
-
-        with mock.patch.object(var, "_CELLS", cells):
-            got = phi_variation(v, phi)
-        assert got == _phi_variation_by_loop(v, lambda t: min(t, 1.0))
-        # one more call checks phi(0) = 0
-        assert len(calls) == len(v) * (len(v) - 1) // 2 + 1
-
-
-# ---------------------------------------------------------------------------
-# Weight sequences
-# ---------------------------------------------------------------------------
-
-def test_lambda_sequence_builders():
-    assert LambdaSequence.harmonic().weights(3) == [1.0, 0.5, 1.0 / 3.0]
-    assert LambdaSequence.power(0.0).weights(3) == [1.0, 1.0, 1.0]
-    assert LambdaSequence.constant().weights(2) == [1.0, 1.0]
-
-
-def test_lambda_sequence_validation():
-    with pytest.raises(ValueError, match=r"power exponent must lie in \[0, 1\]"):
-        LambdaSequence.power(1.5)
-    with pytest.raises(ValueError, match="decreases at t=2"):
-        LambdaSequence("dec", lambda t: 4.0 - t).weights(3)
-    with pytest.raises(ValueError, match="not positive and finite"):
-        LambdaSequence("zero", lambda t: 0.0).weights(2)
-
-
 # ---------------------------------------------------------------------------
 # Interval-family functionals
 # ---------------------------------------------------------------------------
 
+def _harmonic(m):
+    return [1.0 / t for t in range(1, m + 1)]
+
+
 def test_lambda_variation_examples():
     zig = [0.0, 1.0, 0.0, 1.0]
-    harm = LambdaSequence.harmonic()
-    assert lambda_variation(zig, harm) == math.fsum([1.0, 0.5, 1.0 / 3.0])
-    assert lambda_variation(zig, LambdaSequence.power(0.5)) == math.fsum(
-        [1.0, 2.0**-0.5, 3.0**-0.5]
-    )
-    assert lambda_variation([0.0, 1.0], harm) == 1.0
+    assert lambda_variation(zig) == math.fsum([1.0, 0.5, 1.0 / 3.0])
+    assert lambda_variation([0.0, 1.0]) == 1.0
     # capped at one interval the search reduces to the plain oscillation
-    assert lambda_variation(zig, LambdaSequence.constant(), max_intervals=1) == 1.0
+    assert lambda_variation(zig, max_intervals=1) == 1.0
 
 
 def test_lambda_variation_matches_exhaustive_search():
     rng = random.Random(2304)
-    harm = LambdaSequence.harmonic()
     for _ in range(60):
         m = rng.randint(2, 10)
         v = [rng.uniform(-3.0, 3.0) for _ in range(m)]
-        assert lambda_variation(v, harm) == brute_lambda_variation(v, harm.weights(m - 1))
+        assert lambda_variation(v) == brute_lambda_variation(v, _harmonic(m - 1))
 
 
 def test_lambda_variation_budget_exhaustion_warns_with_upper_bound():
     rng = random.Random(11)
     v = [rng.uniform(-1.0, 1.0) for _ in range(40)]
-    harm = LambdaSequence.harmonic()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        val = lambda_variation(v, harm, node_budget=50)
+        val = lambda_variation(v, node_budget=50)
     assert [w.category for w in caught] == [PrecisionWarning]
     msg = str(caught[0].message)
     assert "node budget" in msg and "upper bound" in msg
-    exact = lambda_variation(v, harm)
+    exact = lambda_variation(v)
     assert val <= exact * (1.0 + 1e-12)
 
 
@@ -330,7 +258,6 @@ def test_lambda_variation_pins_budget_bound_searches_on_a_chirp():
     # returns the incumbent it reached, and the same upper bound
     f = sj.parse_function_spec("domain [0.02, 1]; piece x*sin(1/x^2)")
     s = sample_for_variation(f, 128)
-    harm = LambdaSequence.harmonic()
     pins = {
         2000: (2.8708539223432012, "returning 2.87085, upper bound 3.00955 (gap 0.139)"),
         20000: (2.8726861688970775, "returning 2.87269, upper bound 3.00955 (gap 0.137)"),
@@ -338,14 +265,14 @@ def test_lambda_variation_pins_budget_bound_searches_on_a_chirp():
     for budget, (value, tail) in pins.items():
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert lambda_variation(s, harm, node_budget=budget) == value
+            assert lambda_variation(s, node_budget=budget) == value
         assert [str(w.message) for w in caught] == [
             f"variation search hit the node budget ({budget}); {tail}"
         ]
         assert caught[0].category is PrecisionWarning
 
 
-def _lambda_variation_by_scan(s, lam, node_budget=200_000):
+def _lambda_variation_by_scan(s, node_budget=200_000):
     """The Lambda search written plainly, the reference for its bit masks and
     suffix table: at every node an O(q) scan of the chosen intervals for
     overlap and the whole rank bound, summed term by term."""
@@ -358,7 +285,7 @@ def _lambda_variation_by_scan(s, lam, node_budget=200_000):
     if ncand == 0:
         return 0.0
     mcap = min(ncand, n - 1)
-    W = lam.weights(mcap)
+    W = _harmonic(mcap)
     oscs = [c[0] for c in cands]
     t_seed = min(mcap, 64)
     nu, fams = var._maxsum_table(v, t_seed, backtrack=True)
@@ -423,33 +350,22 @@ def _value_and_warnings(search, *args, **kwargs):
     return value, [(w.category, str(w.message)) for w in caught]
 
 
-_LAMBDAS = {
-    "harmonic": LambdaSequence.harmonic(),
-    "power_0.5": LambdaSequence.power(0.5),
-    "constant": LambdaSequence.constant(),
-}
-
-
 @settings(max_examples=150, deadline=None)
-@given(
-    v=_tied_samples,
-    lam=st.sampled_from(sorted(_LAMBDAS)),
-    budget=st.sampled_from([5, 50, 2000, None]),
-)
-@example(v=[0.0, 1.0] * 15, lam="constant", budget=None)
-@example(v=[0.0, 1.0, 1.0, 0.0, 2.0, 2.0, -1.0] * 8, lam="harmonic", budget=2000)
-def test_lambda_variation_matches_the_scan_search_bit_for_bit(v, lam, budget):
+@given(v=_tied_samples, budget=st.sampled_from([5, 50, 2000, None]))
+@example(v=[0.0, 1.0] * 15, budget=None)
+@example(v=[0.0, 1.0, 1.0, 0.0, 2.0, 2.0, -1.0] * 8, budget=2000)
+def test_lambda_variation_matches_the_scan_search_bit_for_bit(v, budget):
     if budget is None:
         # at the default budget the scan search takes seconds on 60 samples;
         # 30 keep it complete and quick
         v = v[:30]
     kwargs = {} if budget is None else {"node_budget": budget}
-    want = _value_and_warnings(_lambda_variation_by_scan, v, _LAMBDAS[lam], **kwargs)
+    want = _value_and_warnings(_lambda_variation_by_scan, v, **kwargs)
     # nodes are decided from the suffix table, and with no table (cap 0)
     # from the rank bound alone
     for cap in (var._REST_CAP, 0):
         with mock.patch.object(var, "_REST_CAP", cap):
-            assert _value_and_warnings(lambda_variation, v, _LAMBDAS[lam], **kwargs) == want
+            assert _value_and_warnings(lambda_variation, v, **kwargs) == want
 
 
 def test_the_suffix_table_prunes_as_the_in_order_rank_bound_does():
@@ -457,11 +373,12 @@ def test_the_suffix_table_prunes_as_the_in_order_rank_bound_does():
     # alone could not tell which side the in-order sum falls on
     rng = random.Random(5)
     levels = [-1.0, 0.0, 0.1, 0.3, 0.5, 0.5 + 1e-12, 0.7, 1.0, 1.0 + 1e-12, 2.0, 3.0 - 1e-12]
-    for lam in _LAMBDAS.values():
+    # the rank weights of harmonic, square-root and constant lambda
+    for weight in (lambda t: 1.0 / t, lambda t: 1.0 / t**0.5, lambda t: 1.0):
         for _ in range(6):
             v = var._reduce_extrema([rng.choice(levels) for _ in range(40)])
             oscs = [c[0] for c in var._candidates_undominated(v)]
-            W = lam.weights(min(len(oscs), len(v) - 1))
+            W = [weight(t) for t in range(1, min(len(oscs), len(v) - 1) + 1)]
             rest = var._rest_table(W, oscs)
             assert rest is not None
             for q in range(len(W)):
@@ -482,13 +399,12 @@ def test_the_suffix_table_prunes_as_the_in_order_rank_bound_does():
 
 def test_lambda_variation_matches_the_scan_search_on_budget_bound_chirps():
     f = sj.parse_function_spec("domain [0.02, 1]; piece x*sin(1/x^2)")
-    harm = LambdaSequence.harmonic()
     for density in (40, 64):
         s = sample_for_variation(f, density)
         for budget in (5_000, 20_000):
-            want = _value_and_warnings(_lambda_variation_by_scan, s, harm, node_budget=budget)
+            want = _value_and_warnings(_lambda_variation_by_scan, s, node_budget=budget)
             assert want[1], "the chirp search must stay budget-bound"
-            assert _value_and_warnings(lambda_variation, s, harm, node_budget=budget) == want
+            assert _value_and_warnings(lambda_variation, s, node_budget=budget) == want
 
 
 def test_modulus_examples():
@@ -828,3 +744,53 @@ def test_sampler_density_validation():
     f = sj.parse_function_spec(SIGN_X_SPEC)
     with pytest.raises(ValueError, match="density must be >= 2"):
         sample_for_variation(f, 1)
+
+
+_BODIES = ("x", "x^3 - x^2 + 0.5", "sin(7*x) + cos(3*x)", "exp(-x/3)*cos(5*x)", "sign(x - 0.1)",
+           "sqrt(abs(x))", "1/(x + 3)", "x*sin(x^-2)", "-2.5", "abs(x)^3 - x")
+_DOMAINS = ((-math.pi, math.pi), (-1.0, 1.0), (0.02, 1.0), (-0.0, 2.5), (1e-3, 1e-3 + 2.0**-20))
+
+
+@st.composite
+def _piecewise(draw):
+    lo, hi = draw(st.sampled_from(_DOMAINS))
+    inner = st.floats(lo, hi, exclude_min=True, exclude_max=True, allow_subnormal=False)
+    bps = sorted(set(draw(st.lists(inner, max_size=3))))
+    bodies = draw(st.lists(st.sampled_from(_BODIES), min_size=len(bps) + 1, max_size=len(bps) + 1))
+    pieces = tuple(sj.parse_function_spec(f"domain [0, 1]; piece {b}").pieces[0] for b in bodies)
+    return PiecewiseFunction((lo, hi), tuple(bps), pieces, draw(st.booleans()))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError):
+        return "raises"
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=_piecewise(), density=st.one_of(st.integers(2, 40), st.sampled_from([64, 257, 2000])))
+def test_the_sampler_has_the_bits_of_the_per_point_sampler(f, density):
+    # one array call per piece against one scalar evaluation per point; the
+    # entries at a breakpoint are its left and right limits, in that order
+    want = _outcome(sample_per_point, f, density)
+    got = _outcome(sample_for_variation, f, density)
+    if want == "raises":  # a pole or a negative sqrt argument: one ValueError names them
+        assert got == "raises"
+        with pytest.raises(ValueError, match=r"^piece \d+ \(.*\) is not finite at x = "):
+            sample_for_variation(f, density)
+        return
+    assert np.array(got.values).tobytes() == np.array(want.values).tobytes()
+    lo, hi = f.domain
+    for x in (*f.breakpoints, lo, hi, (lo + hi) / 2.0):
+        for scalar, array in ((one_sided_limits, sj.one_sided_limits), (evaluate, sj.evaluate)):
+            want_x, got_x = _outcome(scalar, f, x), _outcome(array, f, x)
+            assert np.array(got_x).tobytes() == np.array(want_x).tobytes() or want_x == got_x, x
+
+
+def test_the_sampler_names_the_piece_and_x_where_a_value_is_not_finite():
+    f = sj.parse_function_spec("domain [-1, 1]; piece x on [-1, 0.5); piece 1/x - 2 on (0.5, 1]")
+    assert sample_for_variation(f, 5).values == (-1.0, -0.5, 0.0, 0.5, 0.0, -1.0)
+    g = sj.parse_function_spec("domain [-1, 1]; piece 1/x on [-1, 0.5); piece 2 on (0.5, 1]")
+    with pytest.raises(ValueError, match=r"^piece 1 \(1.0 / x\) is not finite at x = 0.0$"):
+        sample_for_variation(g, 5)
