@@ -1,9 +1,15 @@
 """Fourier and Chebyshev coefficients of piecewise functions.
 
-Coefficients are computed either in closed form (piecewise polynomials of
-degree at most three) or by composite Gauss-Legendre quadrature whose panels
-never straddle a breakpoint; its sums over uniform panels are chirp-z
-transforms, so a rule costs O((N + K) log(N + K)) for N panels, not O(N K).
+Piecewise polynomials of degree at most three have closed forms.  By parts,
+a_k - i b_k = sum_e e^(-ike) sum_d J_d / (ik)^(d+1) over half the period,
+J_d being the jump of the d-th derivative (d <= 3) at breakpoint e, where a
+domain end counts as a one-sided breakpoint.  Chebyshev coefficients
+integrate cos(jt) cos(kt) between the breakpoints' arccos images from one
+table sin(mt) / 2m per image.  So a chunk of frequencies costs little more
+than its sine and cosine tables.  Everything else is integrated by composite
+Gauss-Legendre quadrature whose panels never straddle a breakpoint; its sums
+over uniform panels are chirp-z transforms, so a rule costs
+O((N + K) log(N + K)) for N panels, not O(N K).
 Quadrature results are accepted only after a panel-doubling agreement test,
 so a stored series is trustworthy to the tolerance baked in here.
 """
@@ -184,63 +190,43 @@ def _poly_eval(p, t):
     return acc
 
 
-def _int_tm_trig(m: int, t: float, s, c, ks, k2, k3, k4) -> tuple:
-    """Antiderivatives of t^m cos(kt) and of t^m sin(kt) for m in 0..3,
-    vectorized over k > 0, from s = sin(k t), c = cos(k t) and the powers
-    k2, k3, k4 of ks."""
-    if m == 0:
-        return s / ks, -c / ks
-    if m == 1:
-        return t * s / ks + c / k2, -t * c / ks + s / k2
-    if m == 2:
-        return (
-            t**2 * s / ks + 2 * t * c / k2 - 2 * s / k3,
-            -(t**2) * c / ks + 2 * t * s / k2 + 2 * c / k3,
-        )
-    return (
-        t**3 * s / ks + 3 * t**2 * c / k2 - 6 * t * s / k3 - 6 * c / k4,
-        -(t**3) * c / ks + 3 * t**2 * s / k2 + 6 * t * c / k3 - 6 * s / k4,
-    )
-
-
 _CF_CHUNK = 1 << 13
 
 
-def _closed_form_sums(polys, ks: np.ndarray, table, rows: int) -> np.ndarray:
-    """sum over pieces i and monomials j of polys[i][j] (F[j, i + 1] - F[j, i])
-    at the frequencies ks: the chunk loop both closed forms share.
-
-    table(chunk, uses) maps each (j, edge index) in uses to the antiderivative
-    of the j-th basis function at that edge, over a chunk of at most
-    _CF_CHUNK frequencies, as a tuple of `rows` arrays; the sums have one row
-    each.  Neighbouring pieces share an edge, so a chunk evaluates each
-    antiderivative once per (j, edge) it uses.
-    """
-    terms = [(c, j, i, i + 1) for i, p in enumerate(polys) for j, c in enumerate(p) if c != 0.0]
-    uses = {(j, i) for _, j, lo, hi in terms for i in (lo, hi)}
-    out = np.zeros((rows, len(ks)))
-    for start in range(0, len(ks), _CF_CHUNK):
-        F = table(ks[start : start + _CF_CHUNK], uses)
-        for c, j, lo, hi in terms:
-            for acc, up, down in zip(out[:, start : start + _CF_CHUNK], F[j, hi], F[j, lo]):
-                acc += c * (up - down)
-    return out
+def _derivatives(p, t) -> list[float]:
+    """p and its first three derivatives at t."""
+    return [_poly_eval([math.perm(m, d) * c for m, c in enumerate(p)][d:], t) for d in range(4)]
 
 
 def _closed_form_fourier(polys, edges, K: int) -> FourierSeries:
     period = edges[-1] - edges[0]
-    mean_terms = []
-    for p, (lo, hi) in zip(polys, zip(edges, edges[1:])):
-        anti = [0.0] + [c / (m + 1) for m, c in enumerate(p)]
-        mean_terms.append(_poly_eval(anti, hi) - _poly_eval(anti, lo))
-    a0_half = math.fsum(mean_terms) / period
-
-    def table(ks, uses):
-        powers = (ks, ks**2, ks**3, ks**4)
-        trig = [(np.sin(ks * t), np.cos(ks * t)) for t in edges]
-        return {(m, i): _int_tm_trig(m, edges[i], *trig[i], *powers) for m, i in uses}
-
-    a, b = _closed_form_sums(polys, np.arange(1.0, K + 1), table, 2) / (period / 2.0)
+    antis = [[0.0] + [c / (m + 1) for m, c in enumerate(p)] for p in polys]
+    mean = math.fsum(_poly_eval(q, hi) - _poly_eval(q, lo) for q, lo, hi in zip(antis, edges, edges[1:]))
+    a0_half = mean / period
+    # J_d / half the period at each edge; with the zero polynomial outside
+    # the domain, its ends are one-sided edges
+    pieces = [[], *polys, []]
+    sides = [(_derivatives(pieces[i], t), _derivatives(pieces[i + 1], t)) for i, t in enumerate(edges)]
+    jumps = [[(r - l) / (period / 2.0) for l, r in zip(*side)] for side in sides]
+    n = len(edges)
+    a, b = np.zeros(K), np.zeros(K)
+    for start in range(0, K, _CF_CHUNK):
+        ks = np.arange(start + 1.0, min(start + _CF_CHUNK, K) + 1.0)
+        u, u2 = 1.0 / ks, 1.0 / (ks * ks)
+        terms = np.empty((2, n, len(ks)))
+        for i, (t, (j0, j1, j2, j3)) in enumerate(zip(edges, jumps)):
+            # a_k - i b_k gains e^(-ikt) sum_d J_d / (ik)^(d+1) = (c - is)(re + i im)
+            re, im = (j3 * u2 - j1) * u2, (j2 * u2 - j0) * u
+            phase = ks * t
+            s, c = np.sin(phase), np.cos(phase)
+            terms[:, i] = c * re + s * im, s * re - c * im
+        # edges in mirrored pairs, outermost first, then the middle one: on a
+        # symmetric partition a pair cancels exactly where f's symmetry says so
+        for acc, rows in zip((a[start : start + len(ks)], b[start : start + len(ks)]), terms):
+            for pair in rows[: n // 2] + rows[::-1][: n // 2]:
+                acc += pair
+            if n % 2:
+                acc += rows[n // 2]
     return FourierSeries(K, a0_half, a, b, provenance="closed_form")
 
 
@@ -250,40 +236,35 @@ def _poly_to_cos_poly(p) -> list[float]:
     cos^2 = (1 + cos 2t)/2, cos^3 = (3 cos t + cos 3t)/4.
     """
     p = list(p) + [0.0] * (4 - len(p))
-    q0 = p[0] + p[2] / 2.0
-    q1 = p[1] + 3.0 * p[3] / 4.0
-    q2 = p[2] / 2.0
-    q3 = p[3] / 4.0
-    return [q0, q1, q2, q3]
-
-
-def _int_cos_cos(j: int, ks: np.ndarray, t: float, sines: np.ndarray) -> np.ndarray:
-    """Antiderivative of cos(jt) cos(kt) at t, vectorized over k >= 0, fixed
-    j <= 3, from sines[i] = sin((ks[0] - 3 + i) t): both sin((k - j) t) and
-    sin((k + j) t) are slices of that one table."""
-    dif = ks - j
-    sm = ks + j
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (sines[3 - j : 3 - j + len(ks)] / (2.0 * dif)
-               + sines[3 + j : 3 + j + len(ks)] / (2.0 * sm))
-    eq = dif == 0.0
-    if eq.any():
-        out[eq] = t if j == 0 else t / 2.0 + math.sin(2 * j * t) / (4 * j)
-    return out
+    return [p[0] + p[2] / 2.0, p[1] + 3.0 * p[3] / 4.0, p[2] / 2.0, p[3] / 4.0]
 
 
 def _closed_form_chebyshev(polys, edges, K: int) -> ChebyshevSeries:
     # theta-side breakpoints: theta = arccos(x), descending x maps to ascending theta
     thetas = [math.acos(max(-1.0, min(1.0, x))) for x in reversed(edges)]
     qs = [_poly_to_cos_poly(p) for p in reversed(polys)]
-
-    def table(ks, uses):
-        # m t is the same double as (k -+ j) t, so the bits are those of sin((k -+ j) t)
+    terms = [(coef, j, i, i + 1) for i, q in enumerate(qs) for j, coef in enumerate(q) if coef != 0.0]
+    uses = {(j, i) for _, j, lo, hi in terms for i in (lo, hi)}
+    c = np.zeros(K + 1)
+    for start in range(0, K + 1, _CF_CHUNK):
+        ks = np.arange(float(start), min(start + _CF_CHUNK, K + 1))
+        # one table per breakpoint; m t is the same double as (k -+ j) t, so
+        # the bits are those of sin((k -+ j) t) / (2 (k -+ j)) for each term
         ms = np.arange(ks[0] - 3.0, ks[-1] + 4.0)
-        sines = {i: np.sin(ms * thetas[i]) for i in {i for _, i in uses}}
-        return {(j, i): (_int_cos_cos(j, ks, thetas[i], sines[i]),) for j, i in uses}
-
-    (c,) = _closed_form_sums(qs, np.arange(K + 1.0), table, 1) * (2.0 / math.pi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            halves = {i: np.sin(ms * thetas[i]) / (2.0 * ms) for i in {i for _, i in uses}}
+        # the antiderivative of cos(jt) cos(kt) at theta i: for k != j (k = j
+        # happens in the first chunk only) halves[k - j] + halves[k + j]
+        F = {}
+        for j, i in uses:
+            F[j, i] = halves[i][3 - j : 3 - j + len(ks)] + halves[i][3 + j : 3 + j + len(ks)]
+            if start == 0 and j <= K:
+                t = thetas[i]
+                F[j, i][j] = t if j == 0 else t / 2.0 + math.sin(2 * j * t) / (4 * j)
+        acc = c[start : start + len(ks)]
+        for coef, j, lo, hi in terms:
+            acc += coef * (F[j, hi] - F[j, lo])
+    c *= 2.0 / math.pi
     c[0] /= 2.0
     return ChebyshevSeries(K, c, provenance="closed_form")
 

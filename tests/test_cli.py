@@ -71,6 +71,19 @@ def test_detect_sawtooth_integrated(capsys, saw_spec):
     )
 
 
+def test_detect_true_jump_at_the_wrap_of_a_one_piece_periodic_spec(capsys, tmp_path):
+    spec = tmp_path / "wrap.spec"
+    spec.write_text("domain [0, 2*pi] periodic; piece (pi - x)/2\n", encoding="utf-8")
+    rc, out, _ = run_cli(
+        capsys, "--command", "detect", "--input", str(spec), "--n-list", "100",
+        "--points=0,6.283185307179586",
+    )
+    assert rc == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["0.0", "6.283185307179586"]
+    assert all(row[3] == "3.141592653589793" for row in rows)
+
+
 def test_detect_sign_fejer(capsys, sign_spec):
     rc, out, err = run_cli(
         capsys, "--command", "detect", "--input", sign_spec, "--method", "fejer"
@@ -428,7 +441,7 @@ def test_table_tail_methods_report_the_remainder_bound(capsys, saw_spec):
     assert lines[0] == "n,r,method,estimate,true_jump,abs_error,remainder_bound"
     assert (
         "100,1,integrated_tail,3.189030686560433,3.141592653589793,"
-        "0.04743803297064009,3.9269908169872435e-10"
+        "0.04743803297064009,3.9269908169872425e-10"
     ) in lines
 
 
@@ -552,7 +565,7 @@ def test_diagnose_parseval(capsys, saw_spec):
     assert rc == 0
     lines = out.strip().splitlines()
     assert lines[0] == "n,lhs,rhs,abs_diff"
-    assert lines[1] == "2,3.70110165040851,3.7011016504085097,4.440892098500626e-16"
+    assert lines[1] == "2,3.70110165040851,3.7011016504085092,8.881784197001252e-16"
     assert lines[2] == "4,2.158975962738296,2.158975962738298,1.7763568394002505e-15"
 
 

@@ -506,7 +506,9 @@ def test_parseval_identity_on_linear_ramp():
 
 
 # The per-term closed forms as they were before the antiderivatives were
-# shared between the terms of a chunk: the reference for bit equality.
+# shared between the terms of a chunk: the reference for bit equality of the
+# Chebyshev closed form, and a record of the Fourier one before it summed
+# the jumps of the derivatives instead.
 
 def _reference_int_tm_cos(m, ks, t):
     s, c = np.sin(ks * t), np.cos(ks * t)
@@ -595,18 +597,136 @@ def _random_cubics(rng, lo, hi):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_closed_forms_have_the_bits_of_the_per_term_formulas(seed):
+def test_chebyshev_closed_form_has_the_bits_of_the_per_term_formulas(seed):
     # K = _CF_CHUNK + 3 crosses a chunk boundary, and k = 0, 1, 2, 3 hit the
     # k = j branch of the Chebyshev antiderivative
     rng = random.Random(seed)
     K = _CF_CHUNK + 3
-    polys, edges = _random_cubics(rng, -math.pi, math.pi)
-    s = _closed_form_fourier(polys, edges, K)
-    a, b = _reference_fourier(polys, edges, K)
-    assert s.a.tobytes() == a.tobytes() and s.b.tobytes() == b.tobytes()
+    _random_cubics(rng, -math.pi, math.pi)  # the seed's Fourier cubics, drawn first
     polys, edges = _random_cubics(rng, -1.0, 1.0)
     c = _closed_form_chebyshev(polys, edges, K).c
     assert c.tobytes() == _reference_chebyshev(polys, edges, K).tobytes()
+
+
+# The Fourier closed form sums the jumps J_d of the pieces' derivatives at
+# each edge e: a_k - i b_k = sum_e e^(-ike) sum_d J_d / (ik)^(d+1) / half,
+# half being half the period.  Its oracle evaluates that sum in 50-digit
+# decimal arithmetic, with the exact jumps of the double polynomials, at the
+# same double phases fl(k e); sin and cos are Taylor series after reduction
+# by the 80-digit _PI above.
+
+def _decimal_sin_cos(x):
+    half_pi = decimal.Decimal(_PI.numerator) / (2 * _PI.denominator)
+    q = (x / half_pi).to_integral_value()
+    r = x - q * half_pi  # |r| <= pi / 4
+    s, c, term, n = decimal.Decimal(0), decimal.Decimal(0), decimal.Decimal(1), 0
+    while n < 8 or abs(term) > decimal.Decimal("1e-60"):
+        if n % 2:
+            s += term if n % 4 == 1 else -term
+        else:
+            c += term if n % 4 == 0 else -term
+        n += 1
+        term = term * r / n
+    return [(s, c), (c, -s), (-s, -c), (-c, s)][int(q) % 4]
+
+
+def _fourier_oracle(polys, edges, ks):
+    """Per k in ks: a_k and b_k of the jump formula to 40 digits or more,
+    and Higham's forward-error bound on their double evaluation: gamma_n
+    times the sum of the magnitudes of every summand, n counting the
+    roundings on the longest path (Horner and a derivative coefficient for
+    J_d, the jump and the scaling, 1/k, the two products and the difference
+    in each of re and im, libm's sin or cos as two, their products and sum,
+    and one addition per edge)."""
+    D = decimal.Decimal
+    n = 20 + len(edges)
+    gamma = D(n * 2.0**-53) / (1 - D(n * 2.0**-53))
+    out = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        half = (D(edges[-1]) - D(edges[0])) / 2
+        jumps = []  # per edge: [J_0..J_3] and the magnitudes of their terms
+        for i, t in enumerate(map(D, edges)):
+            js, mags, powers = [D(0)] * 4, [D(0)] * 4, [D(1), t, t * t, t * t * t]
+            for sign, piece in ((1, i), (-1, i - 1)):
+                for m, c in enumerate(polys[piece] if 0 <= piece < len(polys) else []):
+                    for d in range(m + 1):
+                        term = D(c) * math.perm(m, d) * powers[m - d]
+                        js[d] += sign * term
+                        mags[d] += abs(term)
+            jumps.append((js, mags))
+        for k in ks:
+            u = 1 / D(k)
+            a = b = bound_a = bound_b = D(0)
+            for t, (js, mags) in zip(edges, jumps):
+                s, c = _decimal_sin_cos(D(float(k) * t))
+                re, im = js[3] * u**4 - js[1] * u**2, js[2] * u**3 - js[0] * u
+                re_mag, im_mag = mags[3] * u**4 + mags[1] * u**2, mags[2] * u**3 + mags[0] * u
+                a += c * re + s * im
+                b += s * re - c * im
+                bound_a += abs(c) * re_mag + abs(s) * im_mag
+                bound_b += abs(s) * re_mag + abs(c) * im_mag
+            out.append((a / half, b / half, gamma * bound_a / half, gamma * bound_b / half))
+    return out
+
+
+def _fourier_cases():
+    """(name, polys, edges): the three random-cubic seeds the bitwise
+    Chebyshev test also draws from, the sawtooth and a CI spec."""
+    cases = [(f"cubics {seed}", *_random_cubics(random.Random(seed), -math.pi, math.pi))
+             for seed in (1, 2, 3)]
+    for name, text in (
+        ("sawtooth", SAWTOOTH_SPEC),
+        ("poly", "domain [-pi, pi] periodic; piece x^3/9 - x on [-pi, 1); piece 2 - x^2/4 on (1, pi]"),
+    ):
+        f = sj.parse_function_spec(text)
+        cases.append((name, coefficients._closed_form_polys(f), list(f.edges)))
+    return cases
+
+
+@pytest.mark.parametrize("name, polys, edges", _fourier_cases(), ids=lambda v: v if isinstance(v, str) else "")
+def test_fourier_closed_form_is_within_its_forward_error_bound(name, polys, edges):
+    # every k up to 64, k across the chunk boundary and 64 more at random
+    K = _CF_CHUNK + 3
+    ks = sorted({*range(1, 65), *range(_CF_CHUNK - 2, K + 1), *random.Random(name).sample(range(1, K), 64)})
+    s = _closed_form_fourier(polys, edges, K)
+    for k, (a, b, bound_a, bound_b) in zip(ks, _fourier_oracle(polys, edges, ks)):
+        assert abs(decimal.Decimal(s.a[k - 1]) - a) <= bound_a, (k, "a")
+        assert abs(decimal.Decimal(s.b[k - 1]) - b) <= bound_b, (k, "b")
+    # the oracle shares the jump formula; the per-term antiderivatives the
+    # closed form used before derive the same coefficients independently
+    old = _reference_fourier(polys, edges, K)
+    assert np.max(np.abs(np.stack([s.a, s.b]) - old)) <= 1e-14 * np.max(np.abs(old))
+
+
+@st.composite
+def _mirrored_cubics(draw):
+    """(polys, edges, parity): a piecewise cubic on [-pi, pi] that is odd
+    (parity 1) or even (parity 0), on breakpoints symmetric about 0, with or
+    without one at 0 (without it the middle piece has only odd or only even
+    powers)."""
+    parity = draw(st.sampled_from([0, 1]))
+    coef = st.one_of(st.just(0.0), st.floats(-4.0, 4.0, allow_subnormal=False))
+    ts = sorted(set(draw(st.lists(st.floats(0.01, 3.1), max_size=3))))
+    at_zero = draw(st.booleans())
+    # pieces from the middle outward, the last one ending at pi
+    right = [draw(st.lists(coef, min_size=1, max_size=4)) for _ in range(len(ts) + 1)]
+    if not at_zero:
+        right[0] = [c if m % 2 == parity else 0.0 for m, c in enumerate(right[0])]
+    mirror = lambda p: [c if (m + parity) % 2 == 0 else -c for m, c in enumerate(p)]  # noqa: E731
+    polys = [mirror(p) for p in reversed(right[int(not at_zero):])] + right
+    edges = [-math.pi] + [-t for t in reversed(ts)] + [0.0] * at_zero + ts + [math.pi]
+    return polys, edges, parity
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mirrored_cubics())
+def test_mirror_symmetric_cubics_give_exactly_zero_coefficients(case):
+    # odd pieces make every a_k 0, even pieces every b_k: the two edges of a
+    # mirrored pair give terms of opposite sign, which cancel exactly
+    polys, edges, parity = case
+    s = _closed_form_fourier(polys, edges, 300)
+    assert np.all((s.a if parity else s.b) == 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,12 @@ def test_periodic_domain_edge_wraps():
     assert sj.one_sided_limits(s, -math.pi) == (1.0, -1.0)
     assert sj.one_sided_limits(s, math.pi) == (1.0, -1.0)
     assert sj.true_jump(s, math.pi) == -2.0
+    # one piece: both sides come from it, f(hi) on the left and f(lo) on the right
+    f = sj.parse_function_spec("domain [0, 2*pi] periodic; piece (pi - x)/2")
+    two_pi = 2.0 * math.pi
+    for x in (0.0, two_pi, -two_pi, 2.0 * two_pi):
+        assert sj.one_sided_limits(f, x) == (-math.pi / 2, math.pi / 2)
+        assert sj.true_jump(f, x) == math.pi
 
 
 def test_true_jump_pins():
