@@ -34,7 +34,7 @@ from .coefficients import (
     series_from_json,
     series_to_json,
 )
-from .funcspec import PiecewiseFunction, _piece_at, eval_expr_array, parse_function_spec, true_jump
+from .funcspec import PiecewiseFunction, _limits, _one_sided, eval_expr_array, parse_function_spec
 from .summability import _fejer_mean, cesaro_jump, fejer_jump
 from .tails import (
     _METHODS as _ESTIMATORS,
@@ -199,10 +199,6 @@ def _eval_points(config: RunConfig, f, series, basis: str) -> list[float]:
     return pts
 
 
-def _true_jump(f, x: float) -> float:
-    return true_jump(f, x) if f is not None else math.nan
-
-
 def _estimator(config: RunConfig, series, basis: str, ns: Sequence[int]):
     method = config.method or "fejer"
     if method == "fejer":
@@ -269,9 +265,10 @@ def _cmd_coeffs(config: RunConfig) -> str:
 
 def _jump_setup(config: RunConfig):
     """The set-up detect and table share, in the order its errors surface:
-    input, basis, n-schedule, series, schedule against K, estimator and --r, points.
-    Returns (f, ns, estimator, points); the estimator rejects a non-finite
-    estimate, naming its x and n."""
+    input, basis, n-schedule, series, schedule against K, estimator and --r,
+    points (one for table), true jumps.  Returns (ns, estimator, points,
+    truths); the estimator rejects a non-finite estimate, naming its x and n,
+    and a truth is nan for a series input."""
     f, series_in = _load(config)
     basis = _resolve_basis(config, series_in)
     ns = _n_schedule(config)
@@ -289,14 +286,21 @@ def _jump_setup(config: RunConfig):
             raise _ValidationError(f"the estimate at x={x!r}, n={n} is {est.value!r}, not finite")
         return est
 
-    return f, ns, finite, _eval_points(config, f, series_in, basis)
+    points = _eval_points(config, f, series_in, basis)
+    if config.command == "table" and len(points) != 1:
+        raise _ValidationError("table reports one location; give exactly one point")
+    if f is None:  # a series file does not know its jumps
+        truths = [math.nan] * len(points)
+    else:
+        left, right = _one_sided(f, points)
+        truths = (right - left).tolist()
+    return ns, finite, points, truths
 
 
 def _cmd_detect(config: RunConfig) -> str:
-    f, ns, estimator, points = _jump_setup(config)
+    ns, estimator, points, truths = _jump_setup(config)
     rows = []
-    for x in points:
-        truth = _true_jump(f, x)
+    for x, truth in zip(points, truths):
         ests = [estimator(x, n).value for n in ns]
         _flag_divergence(x, ests)
         for n, est in zip(ns, ests):
@@ -306,11 +310,8 @@ def _cmd_detect(config: RunConfig) -> str:
 
 
 def _cmd_table(config: RunConfig) -> str:
-    f, ns, estimator, points = _jump_setup(config)
-    if len(points) != 1:
-        raise _ValidationError("table reports one location; give exactly one point")
-    x = points[0]
-    truth = _true_jump(f, x)
+    ns, estimator, points, truths = _jump_setup(config)
+    x, truth = points[0], truths[0]
     ests = [estimator(x, n) for n in ns]
     _flag_divergence(x, [e.value for e in ests])
     method = config.method or "fejer"
@@ -334,41 +335,27 @@ def sample_for_variation(f: PiecewiseFunction, density: int) -> SampleSequence:
     points, both one-sided values at every breakpoint (adjacent entries),
     and grid-detected local extrema of each piece.
 
-    Each piece is evaluated in one call, at its samples and its ends: a
-    domain edge takes the closure value of the edge piece (on a periodic
-    domain as well, not the wrap-around), a breakpoint the value of each
-    piece it ends.  A value that is not finite raises ValueError naming the
-    piece and x.
+    The values come from one funcspec._limits call: a domain edge takes the
+    closure value of the edge piece (on a periodic domain as well, not the
+    wrap-around), so lo takes its right value and every other point its left
+    one, and a breakpoint gives its left value, then its right one.  A value
+    that is not finite raises ValueError naming the piece and x.
     """
     if density < 2:
         raise ValueError("density must be >= 2")
     lo, hi = f.domain
-    bps = set(f.breakpoints)
-    xs = set(np.linspace(lo, hi, density).tolist()) - bps
+    xs = set(np.linspace(lo, hi, density).tolist()) | set(f.breakpoints)
     for i, expr in enumerate(f.pieces):
         a, b = f.edges[i], f.edges[i + 1]
         scan = np.linspace(a, b, 32 * density + 2)[1:-1]
         ys = eval_expr_array(expr, scan)
         d = np.diff(ys)
-        turns = np.nonzero(d[:-1] * d[1:] < 0.0)[0]
-        xs.update(float(scan[j + 1]) for j in turns if float(scan[j + 1]) not in bps)
+        xs.update(scan[np.nonzero(d[:-1] * d[1:] < 0.0)[0] + 1].tolist())
 
-    # (x, side, piece) of every entry: no sample is a breakpoint, and a
-    # breakpoint's left value comes before its right one
-    bps = np.array(f.breakpoints)
     xs = np.array(sorted(xs))
-    if f.periodic:  # the edge limit at lo itself, which linspace turns from -0.0 into 0.0
-        xs[xs == lo] = lo
-    count = len(bps)
-    x = np.concatenate((xs, bps, bps))
-    side = np.repeat([0, 0, 1], [len(xs), count, count])
-    piece = np.concatenate((np.searchsorted(bps, xs), np.arange(count), np.arange(1, count + 1)))
-    order = np.lexsort((side, x))
-    x, piece = x[order], piece[order]
-    values = np.empty(len(x))
-    for i in range(len(f.pieces)):
-        at = piece == i
-        values[at] = _piece_at(f, i, x[at])
+    _, left, right = _limits(f, xs)
+    at = np.searchsorted(xs, f.breakpoints)  # every breakpoint is a sample
+    values = np.insert(np.where(xs == lo, right, left), at + 1, right[at])
     return SampleSequence(tuple(values.tolist()))
 
 

@@ -31,8 +31,7 @@ from .funcspec import (
     Num,
     PiecewiseFunction,
     Var,
-    _format_expr,
-    eval_expr_array,
+    _piece_at,
 )
 
 __all__ = [
@@ -346,19 +345,6 @@ def _cis_minus(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _piece_values(number: int, expr, xs: np.ndarray) -> np.ndarray:
-    """Piece number `number`, expression expr, at the points xs; raises
-    ValueError naming the piece and the x value if any value is not finite."""
-    out = eval_expr_array(expr, xs)
-    bad = ~np.isfinite(out)
-    if bad.any():
-        raise ValueError(
-            f"piece {number} ({_format_expr(expr)}) is not finite at "
-            f"x = {float(xs[bad][0])!r}; quadrature needs finite values"
-        )
-    return out
-
-
 # Budget of FFT cells (rows times transform length) for one block of
 # Gauss-Legendre offsets in _panel_sums; rules whose transform is longer
 # than _CELLS / 2 run one offset per block, so large rules keep the memory
@@ -502,7 +488,7 @@ def fourier_coefficients(f: PiecewiseFunction, K: int) -> FourierSeries:
         # S[k] = sum w f (cos kx - i sin kx)
         return S[0].real / (2.0 * period_half), S.real[1:] / period_half, -S.imag[1:] / period_half
 
-    integrands = [functools.partial(_piece_values, i, e) for i, e in enumerate(f.pieces, 1)]
+    integrands = [functools.partial(_piece_at, f, i) for i in range(len(f.pieces))]
     a0_half, a, b = _doubled_quadrature(edges, integrands, K, coefficients, "Fourier")
     return FourierSeries(K, a0_half, a, b, provenance="quadrature")
 
@@ -533,9 +519,7 @@ def chebyshev_coefficients(f: PiecewiseFunction, K: int) -> ChebyshevSeries:
         return (c,)
 
     # the pieces in theta order, each evaluated at x = cos(theta)
-    integrands = [
-        lambda t, i=i, e=e: _piece_values(i, e, np.cos(t)) for i, e in enumerate(f.pieces, 1)
-    ][::-1]
+    integrands = [lambda t, i=i: _piece_at(f, i, np.cos(t)) for i in range(len(f.pieces))][::-1]
     (c,) = _doubled_quadrature(theta_edges, integrands, K, coefficients, "Chebyshev")
     return ChebyshevSeries(K, c, provenance="quadrature")
 

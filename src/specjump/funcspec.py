@@ -230,28 +230,6 @@ class PiecewiseFunction:
         return (lo,) + self.breakpoints + (hi,)
 
 
-def _wrap(f: PiecewiseFunction, x: float) -> float:
-    lo, hi = f.domain
-    if f.periodic:
-        if x < lo or x >= hi:
-            x = lo + math.fmod(x - lo, hi - lo)
-            if x < lo:
-                x += hi - lo
-        return x
-    if x < lo or x > hi:
-        raise DomainError(f"{x} outside domain [{lo}, {hi}]")
-    return x
-
-
-def _piece_index(f: PiecewiseFunction, x: float) -> int:
-    """Index of the piece whose open interval contains x (x not an edge)."""
-    edges = f.edges
-    for i in range(len(f.pieces)):
-        if edges[i] < x < edges[i + 1]:
-            return i
-    raise DomainError(f"{x} does not lie inside any piece")
-
-
 def _piece_at(f: PiecewiseFunction, i: int, xs: np.ndarray) -> np.ndarray:
     """Piece i of f at the points xs; raises ValueError naming the piece and
     the first x where a value is not finite."""
@@ -265,40 +243,76 @@ def _piece_at(f: PiecewiseFunction, i: int, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _value(f: PiecewiseFunction, i: int, x: float) -> float:
-    return float(_piece_at(f, i, np.array([x]))[0])
+def _locate(f: PiecewiseFunction, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, left, right): the points xs, wrapped into [lo, hi) on a periodic
+    domain (a point that wraps onto lo or hi is lo itself), and the pieces
+    that hold f(x-0) and f(x+0): the last and the first at a periodic lo, the
+    edge piece on both sides of a non-periodic end.  Raises DomainError
+    naming the first point that is nan, infinite on a periodic domain, or
+    outside a non-periodic one."""
+    x = np.array(xs, dtype=float)
+    lo, hi = f.domain
+    if f.periodic:
+        out = (x < lo) | (x >= hi)
+        with np.errstate(invalid="ignore"):
+            x[out] = lo + np.fmod(x[out] - lo, hi - lo)
+        x[x < lo] += hi - lo
+        x[(x == lo) | (x == hi)] = lo
+    bad = ~((lo <= x) & (x <= hi))
+    if bad.any():
+        first = float(np.asarray(xs, dtype=float)[bad][0])
+        if f.periodic or math.isnan(first):
+            raise DomainError(f"{first} does not lie inside any piece")
+        raise DomainError(f"{first} outside domain [{lo}, {hi}]")
+    left = np.searchsorted(f.breakpoints, x, side="left")
+    right = np.searchsorted(f.breakpoints, x, side="right")
+    if f.periodic:
+        left[x == lo] = len(f.pieces) - 1
+    return x, left, right
+
+
+def _limits(f: PiecewiseFunction, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, f(x-0), f(x+0)) at the points xs, x as _locate returns it; the left
+    side of a periodic lo is the last piece at hi.  Each piece is evaluated
+    once, at the points it holds on the right, then at those it holds only on
+    the left, so _piece_at names the first x that is not finite in that order."""
+    x, left, right = _locate(f, xs)
+    wrap = (x == f.domain[0]) & f.periodic  # a one-piece domain has left == right there
+    differ = np.flatnonzero(wrap | (left != right))
+    # the right sides, then the left sides that differ from them
+    points = np.concatenate((x, np.where(wrap[differ], f.domain[1], x[differ])))
+    pieces = np.concatenate((right, left[differ]))
+    values = np.empty(len(points))
+    for i in range(len(f.pieces)):
+        held = pieces == i
+        if held.any():
+            values[held] = _piece_at(f, i, points[held])
+    rv = values[: len(x)]
+    lv = rv.copy()
+    lv[differ] = values[len(x) :]
+    return x, lv, rv
+
+
+def _one_sided(f: PiecewiseFunction, xs) -> tuple[np.ndarray, np.ndarray]:
+    """(f(x-0), f(x+0)) at the points xs, none of them an end of a non-periodic domain."""
+    if not f.periodic and not set(f.domain).isdisjoint(xs):
+        raise DomainError("one-sided limits need an interior point")
+    return _limits(f, xs)[1:]
 
 
 def one_sided_limits(f: PiecewiseFunction, x: float) -> tuple[float, float]:
-    """Return (f(x-0), f(x+0)).
-
-    Pieces extend continuously to their closed endpoints, so the limit at a
-    breakpoint is the adjacent piece evaluated at the breakpoint itself.
-    """
-    x = _wrap(f, x)
-    lo, hi = f.domain
-    if x == lo or x == hi:
-        if not f.periodic:
-            raise DomainError("one-sided limits need an interior point")
-        return (_value(f, len(f.pieces) - 1, hi), _value(f, 0, lo))
-    for i, b in enumerate(f.breakpoints):
-        if x == b:
-            return (_value(f, i, x), _value(f, i + 1, x))
-    v = _value(f, _piece_index(f, x), x)
-    return (v, v)
+    """Return (f(x-0), f(x+0))."""
+    left, right = _one_sided(f, [x])
+    return float(left[0]), float(right[0])
 
 
 def evaluate(f: PiecewiseFunction, x: float) -> float:
-    """Point value; the midpoint of the one-sided limits at any breakpoint."""
-    x = _wrap(f, x)
-    lo, hi = f.domain
-    if (x == lo or x == hi) and not f.periodic:
-        # closure value of the edge piece
-        return _value(f, 0 if x == lo else len(f.pieces) - 1, x)
-    if x == lo or x in f.breakpoints:
-        left, right = one_sided_limits(f, x)
+    """Point value; the midpoint of the one-sided limits at a breakpoint or a
+    periodic lo, the closure value of the edge piece at a non-periodic end."""
+    (x,), (left,), (right,) = (a.tolist() for a in _limits(f, [x]))
+    if x in f.breakpoints or (f.periodic and x == f.domain[0]):
         return (left + right) / 2.0
-    return _value(f, _piece_index(f, x), x)
+    return right
 
 
 def true_jump(f: PiecewiseFunction, x: float) -> float:

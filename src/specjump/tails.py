@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coefficients import AccuracyError, FourierSeries, _conjugate_terms, _doubled_quadrature, _piece_values
-from .funcspec import PiecewiseFunction, _piece_index, _wrap
+from .coefficients import AccuracyError, FourierSeries, _conjugate_terms, _doubled_quadrature
+from .funcspec import PiecewiseFunction, _locate, _piece_at
 
 __all__ = [
     "PrecisionWarning",
@@ -342,16 +342,13 @@ def parseval_increment_check(
 
     # on each sub-interval x lies in piece p and x + h in piece q, reached
     # at x + s with s = h, or h - 2 pi where x + h wraps past hi
+    mids = [(a + b) / 2.0 for a, b in zip(edges, edges[1:])]
+    _, _, pieces = _locate(f, mids + [mid + h for mid in mids])
     integrands = []
-    for a, b in zip(edges, edges[1:]):
-        mid = (a + b) / 2.0
+    for mid, p, q in zip(mids, pieces.tolist(), pieces[len(mids) :].tolist()):
         s = h if mid + h < hi else h - period
-        p, q = _piece_index(f, mid), _piece_index(f, _wrap(f, mid + h))
         integrands.append(
-            lambda x, p=p, q=q, s=s: (
-                _piece_values(q + 1, f.pieces[q], x + s) - _piece_values(p + 1, f.pieces[p], x)
-            )
-            ** 2
+            lambda x, p=p, q=q, s=s: (_piece_at(f, q, x + s) - _piece_at(f, p, x)) ** 2
         )
     (lhs,) = _doubled_quadrature(
         edges, integrands, 0, lambda S: (S[0].real / math.pi,), "increment"

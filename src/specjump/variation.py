@@ -246,11 +246,7 @@ def _rest_table(W: list[float], oscs: list[float]) -> Optional[memoryview]:
     return memoryview(tab.ravel())
 
 
-def lambda_variation(
-    s,
-    max_intervals: Optional[int] = None,
-    node_budget: int = 200_000,
-) -> float:
+def lambda_variation(s, node_budget: int = 200_000) -> float:
     """sup over interval families of sum |v_b - v_a| / t, the t-th largest
     oscillation weighted 1/t: the harmonic variation.
 
@@ -259,8 +255,6 @@ def lambda_variation(
     irregular data) the best value found is returned and a PrecisionWarning
     reports the gap to an upper bound; a completed search is exact.
     """
-    if max_intervals is not None and max_intervals < 1:
-        raise ValueError("max_intervals must be >= 1")
     v = _reduce_extrema(_values(s))
     n = len(v)
     if n < 2:
@@ -270,8 +264,6 @@ def lambda_variation(
     if ncand == 0:
         return 0.0
     mcap = min(ncand, n - 1)
-    if max_intervals is not None:
-        mcap = min(mcap, max_intervals)
     W = [1.0 / t for t in range(1, mcap + 1)]
     oscs = [c[0] for c in cands]
 

@@ -3,7 +3,8 @@
 sawtooth_series and jump_part_series build analytic series directly.  The
 rest is the package's former scalar code, kept as it was: the oracles the
 numpy paths that replaced it must match bit for bit (the expression
-evaluator, the per-point variation sampler, A_k, s_n_diagnostic and the
+evaluator, the point-at-a-time wrap and piece search with the point values
+and variation sampler built on them, A_k, s_n_diagnostic and the
 character-at-a-time tokenizer), and the spec printer the round-trip tests
 use.
 """
@@ -22,9 +23,7 @@ from specjump.funcspec import (
     SpecSyntaxError,
     Var,
     _format_expr,
-    _piece_index,
     _Token,
-    _wrap,
     eval_expr_array,
 )
 from specjump.tails import _SuffixSums
@@ -102,6 +101,28 @@ def eval_expr(expr, x):
         return a / b
     # parser guarantees the exponent is an integer literal
     return a ** int(b)
+
+
+def _wrap(f, x):
+    lo, hi = f.domain
+    if f.periodic:
+        if x < lo or x >= hi:
+            x = lo + math.fmod(x - lo, hi - lo)
+            if x < lo:
+                x += hi - lo
+        return x
+    if x < lo or x > hi:
+        raise DomainError(f"{x} outside domain [{lo}, {hi}]")
+    return x
+
+
+def _piece_index(f, x):
+    """Index of the piece whose open interval contains x (x not an edge)."""
+    edges = f.edges
+    for i in range(len(f.pieces)):
+        if edges[i] < x < edges[i + 1]:
+            return i
+    raise DomainError(f"{x} does not lie inside any piece")
 
 
 def one_sided_limits(f, x):

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line front end via main(argv)."""
 
+import importlib.util
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from specjump.cli import main
 from specjump.coefficients import FourierSeries, series_to_json
 
 from conftest import SAWTOOTH_SPEC, SIGN_SPEC
-from reference import s_n_diagnostic, sawtooth_series
+from reference import one_sided_limits, s_n_diagnostic, sawtooth_series
 
 
 @pytest.fixture()
@@ -82,6 +83,48 @@ def test_detect_true_jump_at_the_wrap_of_a_one_piece_periodic_spec(capsys, tmp_p
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     assert [row[0] for row in rows] == ["0.0", "6.283185307179586"]
     assert all(row[3] == "3.141592653589793" for row in rows)
+
+
+def _bench_specs():
+    """The spec files of every benchmark plan at seeds 1 to 3, deduplicated,
+    that detect runs on: the chirp's domain is neither 2 pi long nor [-1, 1]."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    loader = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(workloads)
+    texts = {
+        text: f"{workload}/{seed}/{name}"
+        for workload in workloads.WORKLOADS
+        for seed in (1, 2, 3)
+        for name, text in workloads.make_plan(workload, seed)["files"].items()
+    }
+    return sorted((name, text) for text, name in texts.items() if "chirp" not in name)
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [*_bench_specs(), ("one-piece wrap", "domain [0, 2*pi] periodic; piece (pi - x)/2")],
+)
+def test_the_true_jump_column_has_the_bits_of_the_scalar_one_sided_limits(capsys, tmp_path, name, text):
+    f = specjump.parse_function_spec(text)
+    lo, hi = f.domain
+    if f.periodic:  # lo, hi and points a period or two away, which wrap onto them
+        method, ends = "fejer", [lo, hi, lo - (hi - lo), hi + 2.0 * (hi - lo)]
+    else:
+        method, ends = "chebyshev", []
+    points = sorted({*f.breakpoints, *ends, *(lo + (hi - lo) * j / 7.0 for j in range(1, 7))})
+    spec = tmp_path / "f.spec"
+    spec.write_text(text, encoding="utf-8")
+    rc, out, _ = run_cli(
+        capsys, "--command", "detect", "--input", str(spec), "--method", method,
+        "--Kcap", "8", "--n-list", "1", "--points=" + ",".join(map(repr, points)),
+    )
+    assert rc == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [float(row[0]) for row in rows] == points
+    for x, row in zip(points, rows):
+        left, right = one_sided_limits(f, x)
+        assert row[3] == repr(right - left), x
 
 
 def test_detect_sign_fejer(capsys, sign_spec):

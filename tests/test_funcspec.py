@@ -171,6 +171,15 @@ def test_non_periodic_out_of_domain_raises():
         sj.evaluate(f, 2.0)
 
 
+def test_an_infinite_point_on_a_periodic_domain_lies_inside_no_piece():
+    # the nan form: no period wraps an infinity back into the domain
+    f = sj.parse_function_spec(SAWTOOTH_SPEC)
+    for x in (math.inf, -math.inf, math.nan):
+        for query in (sj.evaluate, sj.one_sided_limits, sj.true_jump):
+            with pytest.raises(DomainError, match=f"^{x} does not lie inside any piece$"):
+                query(f, x)
+
+
 def test_one_sided_limits_need_an_interior_point():
     f = sj.parse_function_spec(SIGN_X_SPEC)
     with pytest.raises(DomainError, match="interior point"):
