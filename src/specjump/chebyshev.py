@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import tails
 from .coefficients import ChebyshevSeries
 from .tails import JumpEstimate, _SuffixSums
 
@@ -43,10 +44,7 @@ class ChebyshevTailConfig:
 
 
 def _resolve_K(series: ChebyshevSeries, cfg: ChebyshevTailConfig) -> int:
-    K = series.K if cfg.K_cap is None else min(cfg.K_cap, series.K)
-    if K < cfg.n:
-        raise ValueError(f"K_cap={K} smaller than tail start n={cfg.n}")
-    return K
+    return tails._resolve_K(series, cfg.n, cfg)
 
 
 def _clenshaw(c: list, x: float) -> float:

@@ -4,8 +4,7 @@ A function is described in a small text format::
 
     domain [-pi,pi] periodic;
     piece (-pi-x)/2 on (-pi,0);
-    piece (pi-x)/2 on (0,pi);
-    jumps {0: pi}
+    piece (pi-x)/2 on (0,pi)
 
 Pieces live on open subintervals; the value at a breakpoint is always the
 midpoint of the two one-sided limits, which is the normalization every jump
@@ -200,15 +199,13 @@ class PiecewiseFunction:
     """A regulated function on a closed interval, one expression per open piece.
 
     breakpoints are strictly increasing and interior to the domain; there is
-    exactly one more piece than there are breakpoints.  jump_metadata is
-    optional declared ground truth, as (location, magnitude) pairs.
+    exactly one more piece than there are breakpoints.
     """
 
     domain: tuple[float, float]
     breakpoints: tuple[float, ...]
     pieces: tuple[Expression, ...]
     periodic: bool = False
-    jump_metadata: Optional[tuple[tuple[float, float], ...]] = None
 
     def __post_init__(self):
         lo, hi = self.domain
@@ -326,7 +323,8 @@ def true_jump(f: PiecewiseFunction, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 # every character is in one match: a token, a whitespace run (str.isspace,
-# as re's \s is) or a character no token starts with
+# as re's \s is) or a character no token starts with.  No rule reads { } or :;
+# they stay tokens so that a jumps {...} block fails at the word jumps
 _TOKEN_RE = re.compile(
     r"""
     (?P<num>(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?)
@@ -509,7 +507,6 @@ def parse_function_spec(text: str) -> PiecewiseFunction:
     periodic = p.accept("periodic")
 
     pieces: list[tuple[Expression, Optional[tuple[float, float]]]] = []
-    jumps = None
     p.expect(";")
     while True:
         p.expect("piece")
@@ -518,40 +515,19 @@ def parse_function_spec(text: str) -> PiecewiseFunction:
         if p.accept("on"):
             interval = p.parse_interval()
         pieces.append((expr, interval))
-        if not p.accept(";"):
-            break
-        if p.peek().text == "jumps":
-            p.next()
-            jumps = _parse_jumps(p)
-            p.accept(";")
-            break
-        if p.peek().kind == "end":
+        if not p.accept(";") or p.peek().kind == "end":
             break
     tok = p.peek()
     if tok.kind != "end":
         p.error(f"unexpected trailing input {tok.text!r}", tok)
 
-    return _assemble(lo, hi, periodic, pieces, jumps)
+    return _assemble(lo, hi, periodic, pieces)
 
 
-def _parse_jumps(p: _Parser) -> tuple[tuple[float, float], ...]:
-    p.expect("{")
-    out = []
-    while True:
-        loc = p.parse_const("jump location")
-        p.expect(":")
-        mag = p.parse_const("jump magnitude")
-        out.append((loc, mag))
-        if not p.accept(","):
-            break
-    p.expect("}")
-    return tuple(out)
-
-
-def _assemble(lo, hi, periodic, pieces, jumps) -> PiecewiseFunction:
+def _assemble(lo, hi, periodic, pieces) -> PiecewiseFunction:
     if len(pieces) == 1 and pieces[0][1] is None:
         expr = pieces[0][0]
-        return PiecewiseFunction((lo, hi), (), (expr,), periodic, jumps)
+        return PiecewiseFunction((lo, hi), (), (expr,), periodic)
     if any(iv is None for _, iv in pieces):
         raise DomainError("multi-piece specs need 'on' intervals for every piece")
     ordered = sorted(pieces, key=lambda t: t[1][0])
@@ -566,7 +542,7 @@ def _assemble(lo, hi, periodic, pieces, jumps) -> PiecewiseFunction:
             )
         breakpoints.append(ivl[1])
     exprs = tuple(expr for expr, _ in ordered)
-    return PiecewiseFunction((lo, hi), tuple(breakpoints), exprs, periodic, jumps)
+    return PiecewiseFunction((lo, hi), tuple(breakpoints), exprs, periodic)
 
 
 # ---------------------------------------------------------------------------

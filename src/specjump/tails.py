@@ -72,23 +72,18 @@ class JumpEstimate:
 class TailSumConfig:
     """Truncation policy for tail sums.
 
-    K_cap: summation cutoff; defaults to min(series.K, max(1e6, 100 n)) for
-    closed-form series and to series.K otherwise.  The bound on the
+    K_cap: summation cutoff; defaults to series.K.  The bound on the
     discarded part beyond it is always modeled from the coefficients.
     """
 
     K_cap: Optional[int] = None
 
 
-def _resolve_K(series: FourierSeries, n: int, cfg: Optional[TailSumConfig]) -> int:
+def _resolve_K(series, n: int, cfg) -> int:
+    """The last index of a tail from n, Fourier or Chebyshev: min(K_cap, series.K)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if cfg is not None and cfg.K_cap is not None:
-        K = min(cfg.K_cap, series.K)
-    elif series.provenance == "closed_form":
-        K = min(series.K, max(10**6, 100 * n))
-    else:
-        K = series.K
+    K = series.K if cfg is None or cfg.K_cap is None else min(cfg.K_cap, series.K)
     if K < n:
         raise ValueError(f"K_cap={K} smaller than tail start n={n}")
     return K

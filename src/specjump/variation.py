@@ -246,14 +246,19 @@ def _rest_table(W: list[float], oscs: list[float]) -> Optional[memoryview]:
     return memoryview(tab.ravel())
 
 
-def lambda_variation(s, node_budget: int = 200_000) -> float:
+# search nodes lambda_variation visits before it settles for a bound
+_NODE_BUDGET = 200_000
+
+
+def lambda_variation(s) -> float:
     """sup over interval families of sum |v_b - v_a| / t, the t-th largest
     oscillation weighted 1/t: the harmonic variation.
 
     Exact branch-and-bound over undominated candidate intervals, seeded by
-    the per-count max-sum families.  If the search exceeds node_budget (very
-    irregular data) the best value found is returned and a PrecisionWarning
-    reports the gap to an upper bound; a completed search is exact.
+    the per-count max-sum families.  If the search visits more than
+    _NODE_BUDGET nodes (very irregular data) the best value found is returned
+    and a PrecisionWarning reports the gap to an upper bound; a completed
+    search is exact.
     """
     v = _reduce_extrema(_values(s))
     n = len(v)
@@ -291,7 +296,7 @@ def lambda_variation(s, node_budget: int = 200_000) -> float:
         del chosen[q:]
         while True:
             nodes += 1
-            if nodes > node_budget:
+            if nodes > _NODE_BUDGET:
                 complete = False
                 break
             if acc > best:
@@ -320,7 +325,7 @@ def lambda_variation(s, node_budget: int = 200_000) -> float:
         if t_seed < mcap:
             ub += W[t_seed] * tv
         warnings.warn(
-            f"variation search hit the node budget ({node_budget}); "
+            f"variation search hit the node budget ({_NODE_BUDGET}); "
             f"returning {best:.6g}, upper bound {ub:.6g} "
             f"(gap {max(ub - best, 0.0):.3g})",
             PrecisionWarning,
@@ -368,7 +373,6 @@ class VariationReport:
     harmonic_variation: float
     modulus: tuple[float, ...]
     grid_density: Optional[int] = None
-    suggested_class: Optional[ClassLabel] = None
 
     def to_json_obj(self) -> dict:
         return {
@@ -377,9 +381,6 @@ class VariationReport:
             "harmonic_variation": self.harmonic_variation,
             "lambda_variation": {"harmonic": self.harmonic_variation},
             "modulus": list(self.modulus),
-            "suggested_class": None
-            if self.suggested_class is None
-            else str(self.suggested_class),
         }
 
 

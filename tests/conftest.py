@@ -13,8 +13,7 @@ import numpy as np
 
 SAWTOOTH_SPEC = (
     "domain [-pi, pi] periodic; "
-    "piece (-pi - x)/2 on [-pi, 0); piece (pi - x)/2 on (0, pi]; "
-    "jumps {0: pi}"
+    "piece (-pi - x)/2 on [-pi, 0); piece (pi - x)/2 on (0, pi]"
 )
 SIGN_SPEC = "domain [-pi, pi] periodic; piece -1 on [-pi, 0); piece 1 on (0, pi]"
 SIGN_X_SPEC = "domain [-1, 1]; piece -1 on [-1, 0); piece 1 on (0, 1]"

@@ -260,7 +260,4 @@ def format_function_spec(f):
             parts.append(
                 f"piece {_format_expr(expr)} on ({repr(edges[i])},{repr(edges[i + 1])})"
             )
-    if f.jump_metadata:
-        body = ", ".join(f"{repr(a)}: {repr(b)}" for a, b in f.jump_metadata)
-        parts.append(f"jumps {{{body}}}")
     return "; ".join(parts)

@@ -350,6 +350,19 @@ def test_a_provenance_that_is_not_a_string_exits_1_with_one_error_line(
     assert "Traceback" not in err
 
 
+def test_a_spec_with_a_jumps_block_exits_1_with_one_error_line(capsys, tmp_path):
+    p = tmp_path / "saw.spec"
+    p.write_text(
+        "domain [-pi, pi] periodic; piece x/2 on [-pi, 0); piece x/2 on (0, pi]; jumps {0: 7}\n",
+        encoding="utf-8",
+    )
+    rc, out, err = run_cli(
+        capsys, "--command", "detect", "--input", str(p), "--method", "fejer", "--points=0", "--n-list", "25"
+    )
+    assert (rc, out) == (1, "")
+    assert err == f"error: {p}: expected 'piece', found 'jumps' (line 1, column 73)\n"
+
+
 @pytest.mark.parametrize(
     "spec, flags",
     [

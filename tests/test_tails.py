@@ -1,6 +1,7 @@
 """Integrated and conjugate tail sums, their jump inversions, and the
 series-side diagnostics."""
 
+import dataclasses
 import math
 import random
 import warnings
@@ -63,6 +64,16 @@ def test_k_cap_clamps_to_the_stored_length():
 def test_k_cap_below_n_rejected():
     with pytest.raises(ValueError, match="K_cap=50 smaller than tail start n=100"):
         jump_from_integrated(SAW_1M, 0.0, 0, 100, TailSumConfig(K_cap=50))
+
+
+def test_the_default_cutoff_does_not_read_provenance():
+    # a tail sums every stored term, whatever produced the series
+    saw = sawtooth_series(1_200_000)
+    values = [
+        jump_from_integrated(dataclasses.replace(saw, provenance=p), 1.0, 0, 100).value
+        for p in ("closed_form", "unknown")
+    ]
+    assert values[0].hex() == values[1].hex()
 
 
 def test_r_must_be_a_nonnegative_integer():

@@ -238,20 +238,21 @@ def test_lambda_variation_matches_exhaustive_search():
         assert lambda_variation(v) == brute_lambda_variation(v, _harmonic(m - 1))
 
 
-def test_lambda_variation_budget_exhaustion_warns_with_upper_bound():
+def test_lambda_variation_budget_exhaustion_warns_with_upper_bound(monkeypatch):
     rng = random.Random(11)
     v = [rng.uniform(-1.0, 1.0) for _ in range(40)]
+    exact = lambda_variation(v)
+    monkeypatch.setattr(var, "_NODE_BUDGET", 50)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        val = lambda_variation(v, node_budget=50)
+        val = lambda_variation(v)
     assert [w.category for w in caught] == [PrecisionWarning]
     msg = str(caught[0].message)
     assert "node budget" in msg and "upper bound" in msg
-    exact = lambda_variation(v)
     assert val <= exact * (1.0 + 1e-12)
 
 
-def test_lambda_variation_pins_budget_bound_searches_on_a_chirp():
+def test_lambda_variation_pins_budget_bound_searches_on_a_chirp(monkeypatch):
     # x sin(x^-2) oscillates too fast for the search to finish: each budget
     # returns the incumbent it reached, and the same upper bound
     f = sj.parse_function_spec("domain [0.02, 1]; piece x*sin(1/x^2)")
@@ -261,9 +262,10 @@ def test_lambda_variation_pins_budget_bound_searches_on_a_chirp():
         20000: (2.8726861688970775, "returning 2.87269, upper bound 3.00955 (gap 0.137)"),
     }
     for budget, (value, tail) in pins.items():
+        monkeypatch.setattr(var, "_NODE_BUDGET", budget)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert lambda_variation(s, node_budget=budget) == value
+            assert lambda_variation(s) == value
         assert [str(w.message) for w in caught] == [
             f"variation search hit the node budget ({budget}); {tail}"
         ]
@@ -341,6 +343,12 @@ def _lambda_variation_by_scan(s, node_budget=200_000):
     return best
 
 
+def _lambda_at_budget(s, node_budget=None):
+    """lambda_variation with its node budget set to node_budget (None: the default)."""
+    with mock.patch.object(var, "_NODE_BUDGET", node_budget or var._NODE_BUDGET):
+        return lambda_variation(s)
+
+
 def _value_and_warnings(search, *args, **kwargs):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -363,7 +371,7 @@ def test_lambda_variation_matches_the_scan_search_bit_for_bit(v, budget):
     # from the rank bound alone
     for cap in (var._REST_CAP, 0):
         with mock.patch.object(var, "_REST_CAP", cap):
-            assert _value_and_warnings(lambda_variation, v, **kwargs) == want
+            assert _value_and_warnings(_lambda_at_budget, v, **kwargs) == want
 
 
 def test_the_suffix_table_prunes_as_the_in_order_rank_bound_does():
@@ -402,7 +410,7 @@ def test_lambda_variation_matches_the_scan_search_on_budget_bound_chirps():
         for budget in (5_000, 20_000):
             want = _value_and_warnings(_lambda_variation_by_scan, s, node_budget=budget)
             assert want[1], "the chirp search must stay budget-bound"
-            assert _value_and_warnings(lambda_variation, s, node_budget=budget) == want
+            assert _value_and_warnings(_lambda_at_budget, s, node_budget=budget) == want
 
 
 def test_modulus_examples():
@@ -719,7 +727,7 @@ def test_report_json_shape():
     obj = rep.to_json_obj()
     assert obj["grid_density"] == 8
     assert obj["p_variation"] == {"1.0": 2.0}
-    assert obj["suggested_class"] is None
+    assert "suggested_class" not in obj
     assert obj["modulus"] == [1.0, 2.0]
 
 
